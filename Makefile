@@ -60,56 +60,25 @@ lint-flow:
 obs:
 	PYTHONPATH=src $(PYTHON) -m repro obs
 
-# Chaos sweep: the fault-injection/resilience test suite, then one
-# pinned chaos run (fixed plan + seed) so regressions show in CI logs.
-chaos:
-	$(PYTEST) -x -q tests/test_faults_plan.py tests/test_faults_injector.py \
-	          tests/test_resilience_retry.py tests/test_resilience_breaker.py \
-	          tests/test_enforcement_failclosed.py tests/test_chaos_scenario.py \
-	          tests/test_integration_failures.py tests/property/test_prop_retry.py
-	PYTHONPATH=src $(PYTHON) -m repro chaos --plan monkey --seed 11 --trace
+# Fault scenarios (see the README's Scenarios table): each target runs
+# its scenario's test suite, then its golden reports through the one
+# CLI driver.  A golden is captured in another process, so it also
+# catches cross-process nondeterminism.
+SCENARIOS = chaos recover overload federate rebalance
 
-# Durability sweep: the storage test suite, then two same-seed
-# crash+recover runs whose deterministic reports must be byte-identical.
-recover:
-	$(PYTEST) -x -q tests/test_storage_wal.py tests/test_storage_snapshot.py \
-	          tests/test_storage_recovery.py tests/test_storage_durable.py \
-	          tests/property/test_prop_wal.py
-	PYTHONPATH=src $(PYTHON) -m repro chaos --recover --plan torn-storage \
-	          --seed 11 --report-out /tmp/repro-recover-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro chaos --recover --plan torn-storage \
-	          --seed 11 --report-out /tmp/repro-recover-b.txt
-	diff /tmp/repro-recover-a.txt /tmp/repro-recover-b.txt
-	PYTHONPATH=src $(PYTHON) -m repro chaos --recover --plan crashy-storage --seed 11
+chaos: SCENARIO_TESTS = tests/test_faults_plan.py tests/test_faults_injector.py \
+	tests/test_resilience_retry.py tests/test_resilience_breaker.py \
+	tests/test_enforcement_failclosed.py tests/test_chaos_scenario.py \
+	tests/test_integration_failures.py tests/property/test_prop_retry.py
+recover: SCENARIO_TESTS = tests/test_storage_wal.py tests/test_storage_snapshot.py \
+	tests/test_storage_recovery.py tests/test_storage_durable.py \
+	tests/property/test_prop_wal.py
+overload: SCENARIO_TESTS = tests/test_admission.py tests/test_sensor_supervisor.py \
+	tests/test_resilience_edges.py tests/test_overload_scenario.py
+federate: SCENARIO_TESTS = tests/test_federation.py tests/test_federate_scenario.py
+rebalance: SCENARIO_TESTS = tests/test_ring_changes.py tests/test_rebalance.py \
+	tests/test_rebalance_scenario.py
 
-# Overload sweep: the admission/brownout test suite, then two
-# same-seed rush-hour runs whose deterministic reports must be
-# byte-identical, plus the no-admission ablation baseline.
-overload:
-	$(PYTEST) -x -q tests/test_admission.py tests/test_sensor_supervisor.py \
-	          tests/test_resilience_edges.py tests/test_overload_scenario.py
-	PYTHONPATH=src $(PYTHON) -m repro overload --plan rush-hour \
-	          --seed 11 --report-out /tmp/repro-overload-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro overload --plan rush-hour \
-	          --seed 11 --report-out /tmp/repro-overload-b.txt
-	diff /tmp/repro-overload-a.txt /tmp/repro-overload-b.txt
-	PYTHONPATH=src $(PYTHON) -m repro overload --no-admission --seed 11
-
-# Federation sweep: the sharded-campus test suite, then two same-seed
-# campus-storm runs whose deterministic reports must be byte-identical.
-federate:
-	$(PYTEST) -x -q tests/test_federation.py tests/test_federate_scenario.py
-	PYTHONPATH=src $(PYTHON) -m repro federate --plan campus-storm \
-	          --seed 17 --report-out /tmp/repro-federate-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro federate --plan campus-storm \
-	          --seed 17 --report-out /tmp/repro-federate-b.txt
-	diff /tmp/repro-federate-a.txt /tmp/repro-federate-b.txt
-
-rebalance:
-	$(PYTEST) -x -q tests/test_ring_changes.py tests/test_rebalance.py \
-	          tests/test_rebalance_scenario.py
-	PYTHONPATH=src $(PYTHON) -m repro rebalance --plan ring-change \
-	          --seed 23 --report-out /tmp/repro-rebalance-a.txt
-	PYTHONPATH=src $(PYTHON) -m repro rebalance --plan ring-change \
-	          --seed 23 --report-out /tmp/repro-rebalance-b.txt
-	diff /tmp/repro-rebalance-a.txt /tmp/repro-rebalance-b.txt
+$(SCENARIOS):
+	$(PYTEST) -x -q $(SCENARIO_TESTS)
+	$(PYTEST) -x -q tests/test_scenarios.py -k $@

@@ -23,45 +23,19 @@ obs [--population N] [--ticks N] [--json PATH] [--traces N]
     Run the Figure-1 interaction against a fresh metrics registry and
     print the observability snapshot (counters, latency histograms with
     p50/p95/p99, cache hit ratio, span trees).
-chaos [--plan NAME] [--seed N] [--population N] [--ticks N] [--json] [--trace]
-    Run the compact pipeline under a named fault plan (deterministic
-    fault injection) and report delivered/dropped/degraded counts, the
-    faults fired, and optionally the full fault trace.  ``--list`` (or
-    ``--plan list``) prints the shipped plans with one-line summaries.
-    With ``--recover``, run the storage crash-recovery scenario
-    instead: crash a storage-backed run via the plan's WAL faults,
-    recover, and check the recovery invariants (exit 1 if any is
-    violated); ``--report-out PATH`` writes the deterministic report
-    text for byte-diffing two same-seed runs.
-overload [--plan NAME] [--seed N] [--population N] [--ticks N] [--json]
-    Run the overload scenario: admission control, priority load
-    shedding, and privacy-preserving brownout under a burst fault plan
-    (default ``rush-hour``).  Checks the overload invariants -- zero
-    CRITICAL sheds, DEFERRABLE shed rate above zero, every degraded
-    response marked in the audit record -- and exits 1 if any is
-    violated.  ``--no-admission`` runs the same workload with the
-    controller disabled (the ablation baseline); ``--report-out PATH``
-    writes the deterministic report text for byte-diffing.
-federate [--plan NAME] [--seed N] [--population N] [--ticks N] [--json]
-    Run the multi-building federation scenario: a campus of
-    independently-WAL'd TIPPERS shards behind a consistent-hash router,
-    IoTA roaming handoffs with ``roaming:<home>`` audit markers, a shard
-    crash + WAL recovery mid-run, and a campus-wide DSAR fan-out with
-    per-shard compaction (default plan ``campus-storm``).  The report is
-    seeded and byte-reproducible; exits 1 if any federation invariant is
-    violated.  ``--report-out PATH`` writes the report text for
-    byte-diffing; ``--dir PATH`` keeps each shard's WAL directory.
-rebalance [--plan NAME] [--seed N] [--population N] [--ticks N] [--json]
-    Run the elastic-membership scenario: a building joins the campus
-    hash ring and another drains out, with every displaced user moved
-    by the two-phase WAL-journaled migration protocol -- under the
-    ``ring-change`` plan, which partitions one finalize acknowledgement
-    and crashes a destination shard mid-import.  Checks the rebalancing
-    invariants (journal-guided convergence, marked forwarded decisions,
-    fail-closed dark windows, no post-DSAR resurrection, breaker
-    eviction on decommission) and exits 1 if any is violated.  The
-    report is byte-reproducible; ``--report-out PATH`` writes it for
-    diffing and ``--dir PATH`` keeps each shard's WAL directory.
+scenario NAME [--plan NAME] [--seed N] [--population N] [--ticks N] [--json]
+         [--report-out PATH] [scenario flags]
+    Run one registered fault scenario (chaos, recover, overload,
+    federate, rebalance; see the README's Scenarios table) and print its
+    byte-reproducible report, or its JSON with ``--json``.
+    ``--report-out PATH`` also writes the report text.  Scenario flags:
+    chaos ``--trace`` ``--list``; overload ``--trace``
+    ``--no-admission``; federate and rebalance ``--buildings CSV``
+    ``--dir PATH``.  Exits 0 when every invariant holds, 1 when one is
+    violated, 2 on a bad plan or configuration.
+chaos | overload | federate | rebalance
+    Aliases of ``scenario <name>``; ``chaos --recover`` runs the recover
+    scenario.
 recover --dir PATH [--json]
     Replay an existing storage directory (snapshot + WAL) and print the
     recovery report without mutating it.
@@ -82,8 +56,104 @@ soak [--populations CSV] [--seed N] [--ticks N] [--json] [--report-out PATH]
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One scenario-specific command-line option."""
+
+    option: str
+    help: str
+    #: The run-function keyword the option sets; None for output options.
+    keyword: Optional[str] = None
+    #: None makes the option an on/off switch.
+    metavar: Optional[str] = None
+    convert: Callable[[Any], Any] = lambda value: value
+
+    @property
+    def dest(self) -> str:
+        return self.option.lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A registered scenario: its run function and its own flags."""
+
+    name: str
+    #: ``"module:function"``, imported on first use: importing the
+    #: simulation costs more than every other command's startup.
+    target: str
+    help: str
+    flags: Tuple[Flag, ...] = ()
+
+    @property
+    def run(self) -> Callable[..., Any]:
+        module, function = self.target.split(":")
+        return getattr(importlib.import_module(module), function)
+
+    def defaults(self) -> Dict[str, Any]:
+        """The default plan/seed/population/ticks, read off the run function."""
+        parameters = inspect.signature(self.run).parameters
+        return {
+            name: parameters[name].default
+            for name in ("plan_name", "seed", "population", "ticks")
+        }
+
+
+def _csv(text: str) -> List[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+TRACE = Flag("--trace", "also print the full fault trace")
+LIST = Flag("--list", "enumerate the shipped fault plans and exit")
+NO_ADMISSION = Flag(
+    "--no-admission",
+    "disable the admission controller (ablation baseline)",
+    keyword="admission",
+    convert=lambda on: not on,
+)
+BUILDINGS = Flag(
+    "--buildings", "comma-separated initial building ids",
+    keyword="buildings", metavar="CSV", convert=_csv,
+)
+DIR = Flag(
+    "--dir", "keep each shard's WAL under this storage root",
+    keyword="directory", metavar="PATH",
+)
+
+#: Every scenario ``python -m repro scenario <name>`` runs.
+SCENARIOS: Dict[str, Scenario] = {
+    scenario.name: scenario
+    for scenario in (
+        Scenario(
+            "chaos", "repro.simulation.chaos:run_chaos_scenario",
+            "run the pipeline under a named fault plan", (TRACE, LIST),
+        ),
+        Scenario(
+            "recover", "repro.simulation.recover:run_recovery_scenario",
+            "crash a storage-backed run, recover it, check the invariants",
+        ),
+        Scenario(
+            "overload", "repro.simulation.overload:run_overload_scenario",
+            "run the admission-control overload scenario",
+            (TRACE, NO_ADMISSION),
+        ),
+        Scenario(
+            "federate", "repro.simulation.federate:run_federate_scenario",
+            "run the multi-building federation scenario", (BUILDINGS, DIR),
+        ),
+        Scenario(
+            "rebalance", "repro.simulation.rebalance:run_rebalance_scenario",
+            "run the elastic-membership rebalancing scenario",
+            (BUILDINGS, DIR),
+        ),
+    )
+}
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
@@ -326,129 +396,30 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    """Run one registered scenario (``scenario <name>`` or an alias)."""
     import json
 
-    from repro.errors import FaultError
+    from repro.errors import FaultError, FederationError
     from repro.faults import describe_plans
-    from repro.simulation.chaos import run_chaos_scenario
 
-    if args.list or args.plan == "list":
+    options = vars(args)
+    if "list" in options and (args.list or args.plan == "list"):
         for line in describe_plans():
             print(line)
         return 0
-    if args.recover:
-        return _chaos_recover(args)
+    scenario = SCENARIOS["recover" if options.get("recover") else args.scenario]
+    kwargs = {
+        keyword: options[dest]
+        for keyword, dest in (("plan_name", "plan"), ("seed", "seed"),
+                              ("population", "population"), ("ticks", "ticks"))
+        if options[dest] is not None
+    }
+    for flag in scenario.flags:
+        if flag.keyword and options[flag.dest]:
+            kwargs[flag.keyword] = flag.convert(options[flag.dest])
     try:
-        report = run_chaos_scenario(
-            plan_name=args.plan,
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-        )
-    except FaultError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        for line in report.summary_lines():
-            print(line)
-    if args.trace:
-        print()
-        print("== fault trace ==")
-        sys.stdout.write(report.trace_text)
-    return 0
-
-
-def _chaos_recover(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import FaultError
-    from repro.simulation.recover import run_recovery_scenario
-
-    try:
-        report = run_recovery_scenario(
-            plan_name=args.plan if args.plan != "monkey" else "torn-storage",
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-        )
-    except FaultError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(report.report_text)
-    if args.report_out:
-        try:
-            with open(args.report_out, "w") as handle:
-                handle.write(report.report_text)
-        except OSError as error:
-            print("error: cannot write %s: %s" % (args.report_out, error),
-                  file=sys.stderr)
-            return 2
-    return 0 if report.ok else 1
-
-
-def _cmd_overload(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import FaultError
-    from repro.simulation.overload import run_overload_scenario
-
-    try:
-        report = run_overload_scenario(
-            plan_name=args.plan,
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-            admission=not args.no_admission,
-        )
-    except FaultError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(report.report_text)
-    if args.trace:
-        print()
-        print("== fault trace ==")
-        sys.stdout.write(report.trace_text)
-    if args.report_out:
-        try:
-            with open(args.report_out, "w") as handle:
-                handle.write(report.report_text)
-        except OSError as error:
-            print("error: cannot write %s: %s" % (args.report_out, error),
-                  file=sys.stderr)
-            return 2
-    return 0 if report.ok else 1
-
-
-def _cmd_federate(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import FaultError, FederationError
-    from repro.simulation.federate import run_federate_scenario
-
-    buildings = None
-    if args.buildings:
-        buildings = [b.strip() for b in args.buildings.split(",") if b.strip()]
-    try:
-        kwargs = {}
-        if buildings is not None:
-            kwargs["buildings"] = buildings
-        report = run_federate_scenario(
-            plan_name=args.plan,
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-            directory=args.dir,
-            **kwargs
-        )
+        report = scenario.run(**kwargs)
     except (FaultError, FederationError) as error:
         print("error: %s" % error, file=sys.stderr)
         return 2
@@ -456,45 +427,10 @@ def _cmd_federate(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         sys.stdout.write(report.report_text)
-    if args.report_out:
-        try:
-            with open(args.report_out, "w") as handle:
-                handle.write(report.report_text)
-        except OSError as error:
-            print("error: cannot write %s: %s" % (args.report_out, error),
-                  file=sys.stderr)
-            return 2
-    return 0 if report.ok else 1
-
-
-def _cmd_rebalance(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.errors import FaultError, FederationError
-    from repro.simulation.rebalance import run_rebalance_scenario
-
-    buildings = None
-    if args.buildings:
-        buildings = [b.strip() for b in args.buildings.split(",") if b.strip()]
-    try:
-        kwargs = {}
-        if buildings is not None:
-            kwargs["buildings"] = buildings
-        report = run_rebalance_scenario(
-            plan_name=args.plan,
-            seed=args.seed,
-            population=args.population,
-            ticks=args.ticks,
-            directory=args.dir,
-            **kwargs
-        )
-    except (FaultError, FederationError) as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(report.report_text)
+    if TRACE in scenario.flags and args.trace:
+        print()
+        print("== fault trace ==")
+        sys.stdout.write(report.trace_text)
     if args.report_out:
         try:
             with open(args.report_out, "w") as handle:
@@ -682,6 +618,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_scenario_parser(subparsers, name: str) -> argparse.ArgumentParser:
+    """One scenario's options: the shared ones plus its registered flags.
+
+    Defaults stay None so the run function's own defaults apply.
+    """
+    scenario = SCENARIOS[name]
+    parser = subparsers.add_parser(name, help=scenario.help)
+    parser.add_argument("--plan", default=None,
+                        help="fault plan name (default: the scenario's own)")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--population", type=_positive_int, default=None)
+    parser.add_argument("--ticks", type=_positive_int, default=None)
+    parser.add_argument("--json", action="store_true",
+                        help="print the report as JSON")
+    parser.add_argument(
+        "--report-out", default=None, metavar="PATH",
+        help="also write the deterministic report text here",
+    )
+    for flag in scenario.flags:
+        if flag.metavar is None:
+            parser.add_argument(flag.option, action="store_true", help=flag.help)
+        else:
+            parser.add_argument(flag.option, default=None,
+                                metavar=flag.metavar, help=flag.help)
+    parser.set_defaults(func=_cmd_scenario)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -748,112 +712,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="number of slowest span trees to print (0 disables)")
     obs.set_defaults(func=_cmd_obs)
 
-    chaos = subparsers.add_parser(
-        "chaos", help="run the pipeline under a named fault plan"
+    scenario = subparsers.add_parser(
+        "scenario", help="run a registered fault scenario by name"
     )
-    chaos.add_argument(
-        "--plan", default="monkey",
-        help="fault plan name, or 'list' to enumerate (default: monkey)",
-    )
-    chaos.add_argument("--seed", type=int, default=11)
-    chaos.add_argument("--population", type=_positive_int, default=8)
-    chaos.add_argument("--ticks", type=_positive_int, default=6)
-    chaos.add_argument("--json", action="store_true",
-                       help="print the report as JSON")
-    chaos.add_argument("--trace", action="store_true",
-                       help="also print the full fault trace")
-    chaos.add_argument(
+    names = scenario.add_subparsers(dest="scenario", required=True)
+    for name in SCENARIOS:
+        _add_scenario_parser(names, name)
+    # The pre-registry subcommands stay as aliases; ``chaos --recover``
+    # is the recover scenario's.
+    for name in ("chaos", "overload", "federate", "rebalance"):
+        _add_scenario_parser(subparsers, name).set_defaults(scenario=name)
+    subparsers.choices["chaos"].add_argument(
         "--recover", action="store_true",
-        help="run the crash-recovery scenario (default plan: torn-storage)",
+        help="run the recover scenario instead",
     )
-    chaos.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="with --recover: also write the deterministic report text here",
-    )
-    chaos.add_argument(
-        "--list", action="store_true",
-        help="enumerate the shipped fault plans and exit",
-    )
-    chaos.set_defaults(func=_cmd_chaos)
-
-    overload = subparsers.add_parser(
-        "overload",
-        help="run the admission-control overload scenario",
-    )
-    overload.add_argument(
-        "--plan", default="rush-hour",
-        help="fault plan name (default: rush-hour)",
-    )
-    overload.add_argument("--seed", type=int, default=11)
-    overload.add_argument("--population", type=_positive_int, default=8)
-    overload.add_argument("--ticks", type=_positive_int, default=12)
-    overload.add_argument("--json", action="store_true",
-                          help="print the report as JSON")
-    overload.add_argument("--trace", action="store_true",
-                          help="also print the full fault trace")
-    overload.add_argument(
-        "--no-admission", action="store_true",
-        help="disable the admission controller (ablation baseline)",
-    )
-    overload.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="also write the deterministic report text here",
-    )
-    overload.set_defaults(func=_cmd_overload)
-
-    federate = subparsers.add_parser(
-        "federate",
-        help="run the multi-building federation scenario",
-    )
-    federate.add_argument(
-        "--plan", default="campus-storm",
-        help="fault plan name (default: campus-storm)",
-    )
-    federate.add_argument("--seed", type=int, default=17)
-    federate.add_argument("--population", type=_positive_int, default=12)
-    federate.add_argument("--ticks", type=_positive_int, default=16)
-    federate.add_argument(
-        "--buildings", default=None, metavar="CSV",
-        help="comma-separated building ids (default: bldg-a..bldg-d)",
-    )
-    federate.add_argument(
-        "--dir", default=None, metavar="PATH",
-        help="keep each shard's WAL under this storage root",
-    )
-    federate.add_argument("--json", action="store_true",
-                          help="print the report as JSON")
-    federate.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="also write the deterministic report text here",
-    )
-    federate.set_defaults(func=_cmd_federate)
-
-    rebalance = subparsers.add_parser(
-        "rebalance",
-        help="run the elastic-membership rebalancing scenario",
-    )
-    rebalance.add_argument(
-        "--plan", default="ring-change",
-        help="fault plan name (default: ring-change)",
-    )
-    rebalance.add_argument("--seed", type=int, default=23)
-    rebalance.add_argument("--population", type=_positive_int, default=24)
-    rebalance.add_argument("--ticks", type=_positive_int, default=12)
-    rebalance.add_argument(
-        "--buildings", default=None, metavar="CSV",
-        help="comma-separated initial building ids (default: bldg-a..bldg-c)",
-    )
-    rebalance.add_argument(
-        "--dir", default=None, metavar="PATH",
-        help="keep each shard's WAL under this storage root",
-    )
-    rebalance.add_argument("--json", action="store_true",
-                           help="print the report as JSON")
-    rebalance.add_argument(
-        "--report-out", default=None, metavar="PATH",
-        help="also write the deterministic report text here",
-    )
-    rebalance.set_defaults(func=_cmd_rebalance)
 
     recover = subparsers.add_parser(
         "recover", help="replay a storage directory and print the recovery report"

@@ -291,6 +291,10 @@ class Campus:
         if all(p.user_id != user_id for p in dest.residents):
             dest.residents.append(profile)
         self.home_of[user_id] = to_building
+        # The source tombstone erased everything the user left there, so
+        # a DSAR fan-out must not call the source (it would answer
+        # "unknown user" and be reported unreachable).
+        self._presence.get(user_id, set()).discard(from_building)
 
     # ------------------------------------------------------------------
     # Residents

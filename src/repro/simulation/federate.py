@@ -27,35 +27,41 @@ point, and a mid-append crash that takes one shard down hard:
   may exist anywhere on the campus.
 
 The report carries only counts and booleans, so two runs with the same
-seed render byte-identical text (the ``federate`` CLI and CI diff
-them), and :attr:`FederateReport.violations` machine-checks the
-acceptance invariants.
+seed render byte-identical text (the pinned run is a golden file), and
+:attr:`FederateReport.INVARIANTS` declares the acceptance invariants.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.core.policy import catalog
-from repro.errors import (
-    AdmissionShedError,
-    NetworkError,
-    SimulatedCrash,
-)
+from repro.errors import NetworkError, SimulatedCrash
 from repro.faults import FaultInjector, build_plan
-from repro.federation import Campus, campus_access_report, campus_erase_subject
-from repro.net.admission import AdmissionController, Priority
+from repro.federation import Campus
 from repro.net.bus import RpcError
-from repro.net.resilience import Deadline, RetryPolicy
+from repro.net.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
-from repro.simulation.inhabitants import Inhabitant, generate_inhabitants
+from repro.simulation.inhabitants import Inhabitant
+from repro.simulation.kernel import (
+    BUS_ACCOUNTING,
+    CRITICAL_NEVER_SHED,
+    DEFERRABLE_SHED,
+    CampusReport,
+    ClassOutcome,
+    Invariant,
+    has_marker,
+    home_assistants,
+    locate_request,
+    open_campus,
+    pairs,
+    partition_population,
+    storage_root,
+    workload_call,
+)
 from repro.simulation.mobility import BuildingWorld, CampusWorld
-from repro.simulation.overload import ClassOutcome
-from repro.storage.recovery import RecoveryReport, recover
 from repro.users.profile import profile_to_dict
 
 DEFAULT_BUILDINGS = ("bldg-a", "bldg-b", "bldg-c", "bldg-d")
@@ -66,15 +72,9 @@ ROAMING_MARKER_PREFIX = "roaming:"
 
 
 @dataclass
-class FederateReport:
+class FederateReport(CampusReport):
     """Everything one campus run produced, rendered deterministically."""
 
-    plan: str
-    seed: int
-    population: int
-    ticks: int
-    buildings: List[str] = field(default_factory=list)
-    residents_by_building: Dict[str, int] = field(default_factory=dict)
     roamers: int = 0
     # Roaming handoffs
     handoffs: int = 0
@@ -83,61 +83,86 @@ class FederateReport:
     handoff_failures: int = 0
     preferences_repushed: int = 0
     preferences_pending: int = 0
-    # Workload classes (shared admission layer)
-    critical: ClassOutcome = field(default_factory=ClassOutcome)
-    normal: ClassOutcome = field(default_factory=ClassOutcome)
-    deferrable: ClassOutcome = field(default_factory=ClassOutcome)
     critical_dark: int = 0
     # Roaming markers
     visited_shard_responses: int = 0
     roaming_marked_responses: int = 0
     roaming_marked_audit: int = 0
     # Crash + recovery
-    crashed: bool = False
-    crash_building: str = ""
-    crash_step: int = -1
     crash_tick: int = -1
-    recovered: bool = False
-    recovery: Optional[RecoveryReport] = None
     rehandoffs: int = 0
-    # Campus DSAR
-    dsar_subject: str = ""
-    dsar_buildings: List[str] = field(default_factory=list)
-    dsar_observations: int = 0
-    dsar_decisions: int = 0
-    dsar_erased: int = 0
-    dsar_withdrawn: int = 0
-    dsar_compacted: List[str] = field(default_factory=list)
-    dsar_unreachable: List[str] = field(default_factory=list)
-    # End-of-run physical sweep (standalone recovery reader)
-    swept_shards: int = 0
-    resurrected: int = 0
-    # Shared-plane accounting
-    ledger_checked: int = 0
-    ledger_admitted: int = 0
-    ledger_shed: int = 0
-    ledger_shed_by_class: Dict[str, int] = field(default_factory=dict)
-    ledger_brownouts: int = 0
-    quarantine_events: int = 0
-    quarantine_readmissions: int = 0
-    stored_by_building: Dict[str, int] = field(default_factory=dict)
-    bus_attempts: int = 0
-    bus_logical_calls: int = 0
-    bus_retries: int = 0
-    bus_shed: int = 0
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    TITLE = "federate run"
+    INVARIANTS = (
+        BUS_ACCOUNTING,
+        CRITICAL_NEVER_SHED,
+        Invariant(
+            "critical_completed_outside_dark_window",
+            lambda r: r.critical.completed == r.critical.attempted - r.critical_dark,
+            lambda r: "CRITICAL calls failed outside the dark-shard window: "
+            "completed=%d attempted=%d dark=%d"
+            % (r.critical.completed, r.critical.attempted, r.critical_dark),
+        ),
+        DEFERRABLE_SHED,
+        Invariant(
+            "handoffs",
+            lambda r: r.handoffs != 0,
+            lambda r: "no roaming handoffs occurred",
+        ),
+        Invariant(
+            "visited_responses",
+            lambda r: r.visited_shard_responses != 0,
+            lambda r: "no visited-shard decisions were served",
+        ),
+        Invariant(
+            "roaming_marked",
+            lambda r: r.roaming_marked_responses == r.visited_shard_responses,
+            lambda r: "roaming markers: %d of %d visited-shard responses marked"
+            % (r.roaming_marked_responses, r.visited_shard_responses),
+        ),
+        Invariant(
+            "roaming_audited",
+            lambda r: r.roaming_marked_audit >= r.roaming_marked_responses,
+            lambda r: "audit trail: %d marked records for %d marked responses"
+            % (r.roaming_marked_audit, r.roaming_marked_responses),
+        ),
+        Invariant(
+            "crashed",
+            lambda r: r.crashed,
+            lambda r: "the storm never crashed a shard",
+        ),
+        Invariant(
+            "recovered",
+            lambda r: not r.crashed or r.recovered,
+            lambda r: "shard %s never recovered" % r.crash_building,
+        ),
+        Invariant(
+            "dsar_fanout",
+            lambda r: len(r.dsar_buildings) >= 2,
+            lambda r: "DSAR fan-out reached %d building(s); expected >= 2"
+            % len(r.dsar_buildings),
+        ),
+        Invariant(
+            "dsar_erased",
+            lambda r: r.dsar_erased != 0,
+            lambda r: "DSAR erasure removed no observations",
+        ),
+        Invariant(
+            "dsar_compacted",
+            lambda r: r.dsar_compacted == r.dsar_buildings,
+            lambda r: "DSAR compaction: compacted=[%s] but fan-out=[%s]"
+            % (", ".join(r.dsar_compacted), ", ".join(r.dsar_buildings)),
+        ),
+        Invariant(
+            "no_resurrection",
+            lambda r: not r.resurrected,
+            lambda r: "physical sweep found %d observation(s) of the erased "
+            "subject" % r.resurrected,
+        ),
+    )
 
-    def to_dict(self) -> Dict[str, Any]:
+    def body(self) -> Dict[str, Any]:
         return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "population": self.population,
-            "ticks": self.ticks,
             "buildings": list(self.buildings),
             "residents_by_building": dict(self.residents_by_building),
             "roamers": self.roamers,
@@ -152,132 +177,51 @@ class FederateReport:
                 "marked_responses": self.roaming_marked_responses,
                 "marked_audit_records": self.roaming_marked_audit,
             },
-            "classes": {
-                "critical": self.critical.to_dict(),
-                "normal": self.normal.to_dict(),
-                "deferrable": self.deferrable.to_dict(),
-            },
+            "classes": self.classes_dict(),
             "critical_dark": self.critical_dark,
-            "crash": {
-                "crashed": self.crashed,
-                "building": self.crash_building,
-                "step": self.crash_step,
-                "tick": self.crash_tick,
-                "recovered": self.recovered,
-                "recovery": None
-                if self.recovery is None
-                else self.recovery.to_dict(),
-                "rehandoffs": self.rehandoffs,
-            },
-            "dsar": {
-                "subject": self.dsar_subject,
-                "buildings": list(self.dsar_buildings),
-                "observations": self.dsar_observations,
-                "decisions": self.dsar_decisions,
-                "erased": self.dsar_erased,
-                "withdrawn": self.dsar_withdrawn,
-                "compacted": list(self.dsar_compacted),
-                "unreachable": list(self.dsar_unreachable),
-            },
-            "sweep": {
-                "shards": self.swept_shards,
-                "resurrected": self.resurrected,
-            },
-            "ledger": {
-                "checked": self.ledger_checked,
-                "admitted": self.ledger_admitted,
-                "shed": self.ledger_shed,
-                "shed_by_class": dict(self.ledger_shed_by_class),
-                "brownouts": self.ledger_brownouts,
-            },
+            "crash": self.crash_dict(tick=self.crash_tick, rehandoffs=self.rehandoffs),
+            "dsar": self.dsar_dict(),
+            "sweep": self.sweep_dict(),
+            "ledger": self.ledger_dict(
+                shed_by_class=dict(self.ledger_shed_by_class),
+                brownouts=self.ledger_brownouts,
+            ),
             "quarantine": {
                 "events": self.quarantine_events,
                 "readmissions": self.quarantine_readmissions,
             },
             "stored_by_building": dict(self.stored_by_building),
-            "bus": {
-                "attempts": self.bus_attempts,
-                "logical_calls": self.bus_logical_calls,
-                "retries": self.bus_retries,
-                "shed": self.bus_shed,
-            },
-            "fault_counts": dict(self.fault_counts),
-            "violations": list(self.violations),
-            "ok": self.ok,
+            "bus": self.bus_dict(shed=self.bus_shed),
         }
 
-    def summary_lines(self) -> List[str]:
-        lines = [
-            "federate run: plan=%s seed=%d population=%d ticks=%d buildings=%d"
-            % (self.plan, self.seed, self.population, self.ticks,
-               len(self.buildings)),
-            "residents: "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.residents_by_building.items())
-            ),
-            "roaming: roamers=%d handoffs=%d returns=%d reentries=%d "
-            "failures=%d" % (self.roamers, self.handoffs, self.returns,
-                             self.reentries, self.handoff_failures),
-            "preferences: repushed=%d pending=%d"
-            % (self.preferences_repushed, self.preferences_pending),
-            "markers: visited_responses=%d marked_responses=%d marked_audit=%d"
-            % (self.visited_shard_responses, self.roaming_marked_responses,
-               self.roaming_marked_audit),
-            "critical:   attempted=%d completed=%d shed=%d failed=%d dark=%d"
-            % (self.critical.attempted, self.critical.completed,
-               self.critical.shed, self.critical.failed, self.critical_dark),
-            "normal:     attempted=%d completed=%d shed=%d failed=%d"
-            % (self.normal.attempted, self.normal.completed,
-               self.normal.shed, self.normal.failed),
-            "deferrable: attempted=%d completed=%d shed=%d failed=%d "
-            "(shed_rate=%.3f)"
-            % (self.deferrable.attempted, self.deferrable.completed,
-               self.deferrable.shed, self.deferrable.failed,
-               self.deferrable.shed_rate),
-            "crash: crashed=%s building=%s tick=%d recovered=%s rehandoffs=%d"
-            % (self.crashed, self.crash_building or "none", self.crash_tick,
-               self.recovered, self.rehandoffs),
-        ]
-        if self.recovery is not None:
-            lines.extend(self.recovery.lines())
-        lines.extend([
-            "dsar: subject=%s buildings=[%s] observations=%d decisions=%d"
-            % (self.dsar_subject or "none", ", ".join(self.dsar_buildings),
-               self.dsar_observations, self.dsar_decisions),
-            "dsar erase: erased=%d withdrawn=%d compacted=[%s] unreachable=[%s]"
-            % (self.dsar_erased, self.dsar_withdrawn,
-               ", ".join(self.dsar_compacted),
-               ", ".join(self.dsar_unreachable)),
-            "sweep: shards=%d resurrected=%d"
-            % (self.swept_shards, self.resurrected),
-            "admission ledger: checked=%d admitted=%d shed=%d brownouts=%d"
-            % (self.ledger_checked, self.ledger_admitted, self.ledger_shed,
-               self.ledger_brownouts),
-            "quarantine: events=%d readmissions=%d"
-            % (self.quarantine_events, self.quarantine_readmissions),
-            "stored: "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.stored_by_building.items())
-            ),
-            "bus: attempts=%d logical=%d retries=%d shed=%d"
-            % (self.bus_attempts, self.bus_logical_calls, self.bus_retries,
-               self.bus_shed),
-        ])
-        fired = ", ".join(
-            "%s=%d" % (kind, count)
-            for kind, count in sorted(self.fault_counts.items())
+    def body_lines(self) -> List[str]:
+        return (
+            [
+                "residents: " + pairs(self.residents_by_building),
+                "roaming: roamers=%d handoffs=%d returns=%d reentries=%d "
+                "failures=%d" % (self.roamers, self.handoffs, self.returns,
+                                 self.reentries, self.handoff_failures),
+                "preferences: repushed=%d pending=%d"
+                % (self.preferences_repushed, self.preferences_pending),
+                "markers: visited_responses=%d marked_responses=%d "
+                "marked_audit=%d"
+                % (self.visited_shard_responses, self.roaming_marked_responses,
+                   self.roaming_marked_audit),
+            ]
+            + self.class_lines(critical_note=" dark=%d" % self.critical_dark)
+            + self.crash_lines(
+                "tick=%d recovered=%s rehandoffs=%d"
+                % (self.crash_tick, self.recovered, self.rehandoffs)
+            )
+            + self.dsar_lines()
+            + [
+                self.sweep_line(),
+                self.ledger_line(" brownouts=%d" % self.ledger_brownouts),
+                self.quarantine_line(),
+                self.stored_line(),
+                self.bus_line("shed=%d" % self.bus_shed),
+            ]
         )
-        lines.append("faults fired: %s" % (fired or "none"))
-        for violation in self.violations:
-            lines.append("VIOLATION: %s" % violation)
-        lines.append("result: %s" % ("OK" if self.ok else "FAILED"))
-        return lines
-
-    @property
-    def report_text(self) -> str:
-        return "".join(line + "\n" for line in self.summary_lines())
 
 
 class _Run:
@@ -311,33 +255,21 @@ class _Run:
         shard = self.campus.shard(building_id)
         target = shard.registry_endpoint if registry else shard.endpoint
         dark = shard.down
-        outcome.attempted += 1
-        try:
-            response = self.campus.bus.call(
-                target,
-                method,
-                payload,
-                retry_policy=self.retry_policy,
-                deadline=Deadline(10.0),
-                principal=principal,
-            )
-        except AdmissionShedError:
-            outcome.shed += 1
-            return None
-        except NetworkError:
-            outcome.failed += 1
-            if dark and outcome is self.report.critical:
+
+        def failed(error: Exception) -> None:
+            crash = isinstance(error, SimulatedCrash)
+            if crash:
+                self._record_crash(building_id)
+            # A crash call itself opens the dark window.
+            if outcome is self.report.critical and (dark or crash):
                 self.report.critical_dark += 1
-            return None
-        except SimulatedCrash:
-            self._record_crash(building_id)
-            outcome.failed += 1
-            if outcome is self.report.critical:
-                # The crash call itself opens the dark window.
-                self.report.critical_dark += 1
-            return None
-        outcome.completed += 1
-        return response
+
+        return workload_call(
+            self.campus.bus, outcome, target, method, payload, principal,
+            self.retry_policy,
+            failures=(NetworkError, SimulatedCrash),
+            on_failure=failed,
+        )
 
     def _record_crash(self, building_id: str) -> None:
         if not self.report.crashed:
@@ -346,30 +278,6 @@ class _Run:
             self.report.crash_tick = self.current_tick
             self.report.crash_step = self.injector.step - 1
         self.campus.mark_down(building_id)
-
-
-def _partition_population(
-    campus: Campus, population: int, seed: int
-) -> Dict[str, List[Inhabitant]]:
-    """Ring-partition a campus-global population into shard residents."""
-    user_ids = ["campus-user-%04d" % index for index in range(1, population + 1)]
-    by_building: Dict[str, List[str]] = {b: [] for b in campus.building_ids()}
-    for user_id in user_ids:
-        by_building[campus.router.home_building(user_id)].append(user_id)
-    residents: Dict[str, List[Inhabitant]] = {}
-    for building_id in sorted(by_building):
-        ids = by_building[building_id]
-        shard = campus.shard(building_id)
-        residents[building_id] = generate_inhabitants(
-            shard.spatial,
-            len(ids),
-            seed=seed,
-            building_id=building_id,
-            user_ids=ids,
-        )
-        for inhabitant in residents[building_id]:
-            campus.add_resident(building_id, inhabitant.profile)
-    return residents
 
 
 def run_federate_scenario(
@@ -397,15 +305,9 @@ def run_federate_scenario(
         ticks=ticks,
         buildings=sorted(buildings),
     )
-    owns_directory = directory is None
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-federate-")
-    try:
+    with storage_root(directory, "repro-federate-") as root:
         _run(report, plan_name, seed, population, ticks, sorted(buildings),
-             directory, segment_bytes, metrics)
-    finally:
-        if owns_directory:
-            shutil.rmtree(directory, ignore_errors=True)
+             root, segment_bytes, metrics)
     return report
 
 
@@ -420,33 +322,12 @@ def _run(
     segment_bytes: int,
     metrics: Optional[MetricsRegistry] = None,
 ) -> None:
-    from repro.iota.assistant import IoTAssistant
-
     if metrics is None:
         metrics = MetricsRegistry()
-    # The campus spreads traffic across 2 endpoints per building, and
-    # every queue drains one quantum per *global* admission check -- so
-    # per-queue drain must be far below the single-building template's
-    # 1.0 or no queue ever accumulates backlog.
-    controller = AdmissionController(
-        seed=seed,
-        queue_capacity=8,
-        high_watermark=0.5,
-        shed_watermark=0.8,
-        drain_per_step=0.25,
-        principal_capacity=16.0,
-        principal_refill_per_step=1.0,
-        metrics=metrics,
+    campus, controller = open_campus(
+        buildings, seed, directory, segment_bytes, metrics
     )
-    campus = Campus(
-        buildings,
-        seed=seed,
-        storage_root=directory,
-        segment_bytes=segment_bytes,
-        metrics=metrics,
-        admission=controller,
-    )
-    residents = _partition_population(campus, population, seed)
+    residents = partition_population(campus, population, seed)
     report.residents_by_building = {
         b: len(people) for b, people in residents.items()
     }
@@ -459,11 +340,9 @@ def _run(
         b: BuildingWorld(campus.shard(b).spatial, residents[b], seed=seed)
         for b in buildings
     }
-    roamer_ids = sorted(
-        user_id
-        for user_id, person in inhabitants.items()
-        if person.profile.has_iota
-    )
+    retry_policy = RetryPolicy(seed=seed)
+    assistants = home_assistants(campus, metrics, retry_policy)
+    roamer_ids = sorted(assistants)
     report.roamers = len(roamer_ids)
     world = CampusWorld(
         worlds,
@@ -472,20 +351,6 @@ def _run(
         roamers=roamer_ids,
         seed=seed,
     )
-
-    retry_policy = RetryPolicy(seed=seed)
-    assistants: Dict[str, IoTAssistant] = {}
-    for user_id in roamer_ids:
-        home = campus.home_of[user_id]
-        shard = campus.shard(home)
-        assistants[user_id] = IoTAssistant(
-            user_id,
-            campus.bus,
-            tippers_endpoint=shard.endpoint,
-            registry_endpoints=[shard.registry_endpoint],
-            metrics=metrics,
-            retry_policy=retry_policy,
-        )
 
     crash_building = buildings[0]
     stall_building = buildings[1 % len(buildings)]
@@ -518,26 +383,9 @@ def _run(
         report.roaming_marked_audit += sum(
             1
             for record in shard.tippers.audit
-            if any(
-                reason.startswith(ROAMING_MARKER_PREFIX)
-                for reason in record.reasons
-            )
+            if has_marker(record.reasons, ROAMING_MARKER_PREFIX)
         )
-    report.quarantine_events = int(metrics.total("quarantine_events_total"))
-    report.quarantine_readmissions = int(
-        metrics.total("quarantine_readmissions_total")
-    )
-    stats = campus.bus.stats
-    report.bus_attempts = stats.calls
-    report.bus_logical_calls = stats.logical_calls
-    report.bus_retries = stats.retries
-    report.bus_shed = stats.shed
-    ledger = controller.ledger
-    report.ledger_checked = ledger.checked
-    report.ledger_admitted = ledger.admitted
-    report.ledger_shed = ledger.shed
-    report.ledger_shed_by_class = dict(sorted(ledger.shed_by_class.items()))
-    report.ledger_brownouts = ledger.brownouts
+    report.record_planes(campus.bus, controller, metrics)
 
     # ------------------------------------------------------------------
     # Physical-absence sweep: open every shard's directory with the
@@ -545,16 +393,11 @@ def _run(
     # ------------------------------------------------------------------
     if report.dsar_subject and run.erase_now >= 0:
         for building_id in buildings:
-            shard_dir = os.path.join(directory, building_id)
-            state = recover(shard_dir, now=end_now)
-            report.swept_shards += 1
-            report.resurrected += sum(
-                1
-                for obs in state.datastore.query(subject_id=report.dsar_subject)
-                if obs.timestamp <= run.erase_now
+            report.sweep(
+                os.path.join(directory, building_id), end_now, run.erase_now
             )
 
-    _check_invariants(report)
+    report.check()
 
 
 def _run_ticks(
@@ -661,22 +504,14 @@ def _run_ticks(
             dark = campus.shard(building_id).down
             response = run.call(
                 report.normal, building_id, "locate_user",
-                {
-                    "requester_id": "svc-occupancy",
-                    "requester_kind": "building_service",
-                    "subject_id": user_id,
-                    "now": now,
-                },
+                locate_request(user_id, now),
                 "svc-occupancy",
             )
             if response is None or dark:
                 continue
             if visited:
                 report.visited_shard_responses += 1
-                if any(
-                    reason.startswith(ROAMING_MARKER_PREFIX)
-                    for reason in response["reasons"]
-                ):
+                if has_marker(response["reasons"], ROAMING_MARKER_PREFIX):
                     report.roaming_marked_responses += 1
 
         # The campus DSAR: report, then erase with per-shard compaction.
@@ -726,85 +561,4 @@ def _run_dsar(run: "_Run", now: float) -> None:
             break
     if not subject:
         subject = candidates[0]
-    report.dsar_subject = subject
-    run.erase_now = now + 0.5
-    access = campus_access_report(campus, subject, now)
-    report.dsar_buildings = list(access.buildings)
-    report.dsar_observations = access.observations_total
-    report.dsar_decisions = access.decisions_total
-    report.dsar_unreachable = list(access.unreachable)
-    receipt = campus_erase_subject(
-        campus, subject, now + 0.5,
-        withdraw_preferences=True, compact_storage=True,
-    )
-    report.dsar_erased = receipt.erased_observations
-    report.dsar_withdrawn = receipt.withdrawn_preferences
-    report.dsar_compacted = list(receipt.compacted_buildings)
-    for building in receipt.unreachable:
-        if building not in report.dsar_unreachable:
-            report.dsar_unreachable.append(building)
-
-
-def _check_invariants(report: FederateReport) -> None:
-    """The acceptance invariants, machine-checked into ``violations``."""
-    if report.bus_attempts != report.bus_logical_calls + report.bus_retries:
-        report.violations.append(
-            "bus accounting: attempts (%d) != logical (%d) + retries (%d)"
-            % (report.bus_attempts, report.bus_logical_calls,
-               report.bus_retries)
-        )
-    critical_shed = report.ledger_shed_by_class.get(Priority.CRITICAL.value, 0)
-    if critical_shed or report.critical.shed:
-        report.violations.append(
-            "CRITICAL calls were shed (ledger=%d observed=%d)"
-            % (critical_shed, report.critical.shed)
-        )
-    if report.critical.completed != (
-        report.critical.attempted - report.critical_dark
-    ):
-        report.violations.append(
-            "CRITICAL calls failed outside the dark-shard window: "
-            "completed=%d attempted=%d dark=%d"
-            % (report.critical.completed, report.critical.attempted,
-               report.critical_dark)
-        )
-    if report.deferrable.shed == 0:
-        report.violations.append("DEFERRABLE shed rate is 0 under overload")
-    if report.handoffs == 0:
-        report.violations.append("no roaming handoffs occurred")
-    if report.visited_shard_responses == 0:
-        report.violations.append("no visited-shard decisions were served")
-    if report.roaming_marked_responses != report.visited_shard_responses:
-        report.violations.append(
-            "roaming markers: %d of %d visited-shard responses marked"
-            % (report.roaming_marked_responses, report.visited_shard_responses)
-        )
-    if report.roaming_marked_audit < report.roaming_marked_responses:
-        report.violations.append(
-            "audit trail: %d marked records for %d marked responses"
-            % (report.roaming_marked_audit, report.roaming_marked_responses)
-        )
-    if not report.crashed:
-        report.violations.append("the storm never crashed a shard")
-    if report.crashed and not report.recovered:
-        report.violations.append(
-            "shard %s never recovered" % report.crash_building
-        )
-    if len(report.dsar_buildings) < 2:
-        report.violations.append(
-            "DSAR fan-out reached %d building(s); expected >= 2"
-            % len(report.dsar_buildings)
-        )
-    if report.dsar_erased == 0:
-        report.violations.append("DSAR erasure removed no observations")
-    if report.dsar_compacted != report.dsar_buildings:
-        report.violations.append(
-            "DSAR compaction: compacted=[%s] but fan-out=[%s]"
-            % (", ".join(report.dsar_compacted),
-               ", ".join(report.dsar_buildings))
-        )
-    if report.resurrected:
-        report.violations.append(
-            "physical sweep found %d observation(s) of the erased subject"
-            % report.resurrected
-        )
+    run.erase_now = report.run_dsar(campus, subject, now)

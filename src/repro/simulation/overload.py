@@ -15,10 +15,10 @@ admission controller's topic queues and stalls one access point:
   rush-hour plan their shed rate must be > 0.
 
 The report carries only counts and booleans, so two runs with the same
-seed and plan render byte-identical text (the ``overload`` CLI and CI
-diff them), and :attr:`OverloadReport.violations` machine-checks the
-acceptance invariants -- the run exits non-zero if overload protection
-ever sheds a CRITICAL call or serves an unmarked degraded response.
+seed and plan render byte-identical text (the pinned runs are golden
+files), and :attr:`OverloadReport.INVARIANTS` declares the acceptance
+invariants -- the run exits non-zero if overload protection ever sheds
+a CRITICAL call or serves an unmarked degraded response.
 
 Everything is locally scoped (own metrics registry, own bus, own
 controller) so overload runs never leak state into the process-global
@@ -32,23 +32,28 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.policy import catalog
 from repro.core.policy.serialization import preference_to_dict
-from repro.errors import AdmissionShedError, NetworkError
 from repro.faults import FaultInjector, build_plan
-from repro.irr.registry import IoTResourceRegistry
-from repro.net.admission import AdmissionController, Priority
-from repro.net.bus import MessageBus
-from repro.net.resilience import BreakerBoard, Deadline, RetryPolicy
+from repro.net.admission import AdmissionController
+from repro.net.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
-from repro.simulation.inhabitants import generate_inhabitants
+from repro.simulation.kernel import (
+    BUS_ACCOUNTING,
+    CRITICAL_NEVER_SHED,
+    DEFERRABLE_SHED,
+    LEDGER_BALANCED,
+    REGISTRY_ENDPOINT,
+    TIPPERS_ENDPOINT,
+    Invariant,
+    WorkloadReport,
+    compact_building,
+    locate_request,
+    serve_building,
+    workload_call,
+)
 from repro.simulation.mobility import BuildingWorld
-from repro.spatial.model import SpaceType, build_simple_building
-from repro.tippers.bms import TIPPERS
 from repro.tippers.sensor_manager import SensorHealthSupervisor
 
 BUILDING_ID = "overload"
-REGISTRY_ENDPOINT = "irr-1"
-TIPPERS_ENDPOINT = "tippers"
 
 #: The degradation marker every browned-out decision carries (see
 #: RequestManager.locate_user); the scenario greps responses and audit
@@ -56,93 +61,83 @@ TIPPERS_ENDPOINT = "tippers"
 BROWNOUT_MARKER = "brownout degraded response"
 
 
-@dataclass
-class ClassOutcome:
-    """What happened to one priority class's calls."""
-
-    attempted: int = 0
-    completed: int = 0
-    shed: int = 0
-    failed: int = 0
-
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.attempted if self.attempted else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "attempted": self.attempted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "failed": self.failed,
-        }
+def _with_admission(invariant: Invariant) -> Invariant:
+    """``invariant``, checked only when the admission controller ran."""
+    return invariant._replace(
+        holds=lambda r: not r.admission_enabled or invariant.holds(r)
+    )
 
 
 @dataclass
-class OverloadReport:
+class OverloadReport(WorkloadReport):
     """Everything one overload run produced, rendered deterministically."""
 
-    plan: str
-    seed: int
-    population: int
-    ticks: int
     admission_enabled: bool = True
-    critical: ClassOutcome = field(default_factory=ClassOutcome)
-    normal: ClassOutcome = field(default_factory=ClassOutcome)
-    deferrable: ClassOutcome = field(default_factory=ClassOutcome)
     browned_out_responses: int = 0
     brownout_marked_responses: int = 0
     brownout_marked_audit: int = 0
     injected_arrivals: int = 0
-    ledger_checked: int = 0
-    ledger_admitted: int = 0
-    ledger_shed: int = 0
-    ledger_shed_by_class: Dict[str, int] = field(default_factory=dict)
-    ledger_brownouts: int = 0
-    quarantine_events: int = 0
-    quarantine_readmissions: int = 0
     quarantine_final: List[str] = field(default_factory=list)
     stored: int = 0
     stalled_samples: int = 0
     gated_samples: int = 0
-    bus_attempts: int = 0
-    bus_logical_calls: int = 0
-    bus_retries: int = 0
-    bus_shed: int = 0
     final_loads: Dict[str, str] = field(default_factory=dict)
-    fault_counts: Dict[str, int] = field(default_factory=dict)
     trace_text: str = ""
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    TITLE = "overload run"
+    INVARIANTS = (BUS_ACCOUNTING,) + tuple(
+        _with_admission(invariant)
+        for invariant in (
+            CRITICAL_NEVER_SHED,
+            Invariant(
+                "critical_completed",
+                lambda r: r.critical.completed == r.critical.attempted,
+                lambda r: "CRITICAL calls failed: %d of %d did not complete"
+                % (r.critical.attempted - r.critical.completed,
+                   r.critical.attempted),
+            ),
+            DEFERRABLE_SHED,
+            LEDGER_BALANCED,
+            Invariant(
+                "bus_shed_matches_ledger",
+                lambda r: r.bus_shed == r.ledger_shed,
+                lambda r: "bus shed counter (%d) disagrees with admission "
+                "ledger (%d)" % (r.bus_shed, r.ledger_shed),
+            ),
+            Invariant(
+                "brownouts_marked",
+                lambda r: r.brownout_marked_responses == r.ledger_brownouts,
+                lambda r: "brownout markers: %d marked responses for %d "
+                "browned-out admissions"
+                % (r.brownout_marked_responses, r.ledger_brownouts),
+            ),
+            Invariant(
+                "brownouts_audited",
+                lambda r: r.brownout_marked_audit >= r.brownout_marked_responses,
+                lambda r: "audit trail: %d marked records for %d marked "
+                "responses"
+                % (r.brownout_marked_audit, r.brownout_marked_responses),
+            ),
+        )
+    )
 
-    def to_dict(self) -> Dict[str, Any]:
+    def header_note(self) -> str:
+        return " admission=%s" % ("on" if self.admission_enabled else "off")
+
+    def body(self) -> Dict[str, Any]:
         return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "population": self.population,
-            "ticks": self.ticks,
             "admission_enabled": self.admission_enabled,
-            "classes": {
-                "critical": self.critical.to_dict(),
-                "normal": self.normal.to_dict(),
-                "deferrable": self.deferrable.to_dict(),
-            },
+            "classes": self.classes_dict(),
             "brownout": {
                 "responses": self.browned_out_responses,
                 "marked_responses": self.brownout_marked_responses,
                 "marked_audit_records": self.brownout_marked_audit,
             },
-            "ledger": {
-                "checked": self.ledger_checked,
-                "admitted": self.ledger_admitted,
-                "shed": self.ledger_shed,
-                "shed_by_class": dict(self.ledger_shed_by_class),
-                "brownouts": self.ledger_brownouts,
-                "injected_arrivals": self.injected_arrivals,
-            },
+            "ledger": self.ledger_dict(
+                shed_by_class=dict(self.ledger_shed_by_class),
+                brownouts=self.ledger_brownouts,
+                injected_arrivals=self.injected_arrivals,
+            ),
             "quarantine": {
                 "events": self.quarantine_events,
                 "readmissions": self.quarantine_readmissions,
@@ -153,49 +148,23 @@ class OverloadReport:
                 "stalled_samples": self.stalled_samples,
                 "gated_samples": self.gated_samples,
             },
-            "bus": {
-                "attempts": self.bus_attempts,
-                "logical_calls": self.bus_logical_calls,
-                "retries": self.bus_retries,
-                "shed": self.bus_shed,
-            },
+            "bus": self.bus_dict(shed=self.bus_shed),
             "final_loads": dict(self.final_loads),
-            "fault_counts": dict(self.fault_counts),
-            "violations": list(self.violations),
-            "ok": self.ok,
         }
 
-    def summary_lines(self) -> List[str]:
-        lines = [
-            "overload run: plan=%s seed=%d population=%d ticks=%d admission=%s"
-            % (self.plan, self.seed, self.population, self.ticks,
-               "on" if self.admission_enabled else "off"),
-            "critical:   attempted=%d completed=%d shed=%d failed=%d"
-            % (self.critical.attempted, self.critical.completed,
-               self.critical.shed, self.critical.failed),
-            "normal:     attempted=%d completed=%d shed=%d failed=%d"
-            % (self.normal.attempted, self.normal.completed,
-               self.normal.shed, self.normal.failed),
-            "deferrable: attempted=%d completed=%d shed=%d failed=%d "
-            "(shed_rate=%.3f)"
-            % (self.deferrable.attempted, self.deferrable.completed,
-               self.deferrable.shed, self.deferrable.failed,
-               self.deferrable.shed_rate),
+    def body_lines(self) -> List[str]:
+        lines = self.class_lines() + [
             "brownout: responses=%d marked_responses=%d marked_audit=%d"
             % (self.browned_out_responses, self.brownout_marked_responses,
                self.brownout_marked_audit),
-            "admission ledger: checked=%d admitted=%d shed=%d brownouts=%d "
-            "injected_arrivals=%d"
-            % (self.ledger_checked, self.ledger_admitted, self.ledger_shed,
-               self.ledger_brownouts, self.injected_arrivals),
-            "quarantine: events=%d readmissions=%d final=[%s]"
-            % (self.quarantine_events, self.quarantine_readmissions,
-               ", ".join(self.quarantine_final)),
+            self.ledger_line(
+                " brownouts=%d injected_arrivals=%d"
+                % (self.ledger_brownouts, self.injected_arrivals)
+            ),
+            self.quarantine_line(" final=[%s]" % ", ".join(self.quarantine_final)),
             "capture: stored=%d stalled_samples=%d gated_samples=%d"
             % (self.stored, self.stalled_samples, self.gated_samples),
-            "bus: attempts=%d logical=%d retries=%d shed=%d"
-            % (self.bus_attempts, self.bus_logical_calls, self.bus_retries,
-               self.bus_shed),
+            self.bus_line("shed=%d" % self.bus_shed),
         ]
         if self.final_loads:
             lines.append(
@@ -205,49 +174,7 @@ class OverloadReport:
                     for target, level in sorted(self.final_loads.items())
                 )
             )
-        fired = ", ".join(
-            "%s=%d" % (kind, count)
-            for kind, count in sorted(self.fault_counts.items())
-        )
-        lines.append("faults fired: %s" % (fired or "none"))
-        for violation in self.violations:
-            lines.append("VIOLATION: %s" % violation)
-        lines.append("result: %s" % ("OK" if self.ok else "FAILED"))
         return lines
-
-    @property
-    def report_text(self) -> str:
-        return "".join(line + "\n" for line in self.summary_lines())
-
-
-def _call(
-    bus: MessageBus,
-    outcome: ClassOutcome,
-    target: str,
-    method: str,
-    payload: Dict[str, Any],
-    principal: str,
-    retry_policy: RetryPolicy,
-) -> Optional[Dict[str, Any]]:
-    """One accounted workload call; None when shed or failed."""
-    outcome.attempted += 1
-    try:
-        response = bus.call(
-            target,
-            method,
-            payload,
-            retry_policy=retry_policy,
-            deadline=Deadline(10.0),
-            principal=principal,
-        )
-    except AdmissionShedError:
-        outcome.shed += 1
-        return None
-    except NetworkError:
-        outcome.failed += 1
-        return None
-    outcome.completed += 1
-    return response
 
 
 def run_overload_scenario(
@@ -274,32 +201,14 @@ def run_overload_scenario(
         admission_enabled=admission,
     )
     metrics = metrics if metrics is not None else MetricsRegistry()
-    tracer = Tracer()
-    spatial = build_simple_building(BUILDING_ID, floors=2, rooms_per_floor=6)
     supervisor = SensorHealthSupervisor(
         miss_threshold=3, probe_rate=0.5, seed=seed, metrics=metrics
     )
-    tippers = TIPPERS(
-        spatial,
-        BUILDING_ID,
-        owner_name="Overload Labs",
-        enforce_capture=True,
-        cache_decisions=False,
-        metrics=metrics,
+    tippers, inhabitants = compact_building(
+        BUILDING_ID, "Overload Labs", population, seed, metrics,
         health_supervisor=supervisor,
     )
-    rooms = sorted(s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM))
-    for index, room in enumerate(rooms):
-        tippers.deploy_sensor("wifi_access_point", "ap-%02d" % (index + 1), room)
-        tippers.deploy_sensor("motion_sensor", "motion-%02d" % (index + 1), room)
-    tippers.define_policy(catalog.policy_service_sharing(BUILDING_ID))
-    tippers.define_policy(catalog.policy_2_emergency_location(BUILDING_ID))
-    tippers.define_policy(catalog.policy_1_comfort(rooms))
-
-    inhabitants = generate_inhabitants(spatial, population, seed=seed)
-    for inhabitant in inhabitants:
-        tippers.add_user(inhabitant.profile)
-    world = BuildingWorld(spatial, inhabitants, seed=seed)
+    world = BuildingWorld(tippers.spatial, inhabitants, seed=seed)
 
     controller: Optional[AdmissionController] = None
     if admission:
@@ -313,21 +222,7 @@ def run_overload_scenario(
             principal_refill_per_step=1.0,
             metrics=metrics,
         )
-    bus = MessageBus(
-        metrics=metrics,
-        tracer=tracer,
-        breakers=BreakerBoard(),
-        admission=controller,
-    )
-    bus.register(TIPPERS_ENDPOINT, tippers)
-    registry = IoTResourceRegistry(REGISTRY_ENDPOINT, spatial)
-    bus.register(REGISTRY_ENDPOINT, registry)
-    registry.publish_resource(
-        "overload-building-policies",
-        BUILDING_ID,
-        tippers.policy_manager.compile_policy_document(),
-        settings=tippers.policy_manager.settings_space.to_document(),
-    )
+    bus = serve_building(tippers, metrics, admission=controller)
 
     plan = build_plan(plan_name, seed)
     injector = FaultInjector(plan)
@@ -346,7 +241,7 @@ def run_overload_scenario(
         tippers.tick(now, world)
 
         # CRITICAL: the enforcement pipeline keeps fetching policy.
-        _call(
+        workload_call(
             bus, report.critical, TIPPERS_ENDPOINT, "get_policy_document",
             {}, "iota-%s" % inhabitants[0].user_id, retry_policy,
         )
@@ -354,7 +249,7 @@ def run_overload_scenario(
         # DEFERRABLE: one discovery sweep per inhabitant per tick.
         for inhabitant in inhabitants:
             location = world.location_of(inhabitant.user_id) or BUILDING_ID
-            _call(
+            workload_call(
                 bus, report.deferrable, REGISTRY_ENDPOINT, "discover",
                 {"space_id": location},
                 "iota-%s" % inhabitant.user_id, retry_policy,
@@ -362,14 +257,9 @@ def run_overload_scenario(
 
         # NORMAL: one location query per inhabitant.
         for inhabitant in inhabitants:
-            response = _call(
+            response = workload_call(
                 bus, report.normal, TIPPERS_ENDPOINT, "locate_user",
-                {
-                    "requester_id": "svc-occupancy",
-                    "requester_kind": "building_service",
-                    "subject_id": inhabitant.user_id,
-                    "now": now,
-                },
+                locate_request(inhabitant.user_id, now),
                 "svc-occupancy", retry_policy,
             )
             if response is not None and any(
@@ -381,17 +271,17 @@ def run_overload_scenario(
         if tick == erase_tick:
             subject = inhabitants[-1]
             preference = catalog.preference_2_no_location(subject.user_id)
-            _call(
+            workload_call(
                 bus, report.critical, TIPPERS_ENDPOINT, "submit_preference",
                 {"preference": preference_to_dict(preference)},
                 "iota-%s" % subject.user_id, retry_policy,
             )
-            _call(
+            workload_call(
                 bus, report.critical, TIPPERS_ENDPOINT, "dsar_report",
                 {"user_id": subject.user_id, "now": now},
                 "iota-%s" % subject.user_id, retry_policy,
             )
-            _call(
+            workload_call(
                 bus, report.critical, TIPPERS_ENDPOINT, "dsar_erase",
                 {"user_id": subject.user_id, "now": now},
                 "iota-%s" % subject.user_id, retry_policy,
@@ -416,81 +306,13 @@ def run_overload_scenario(
         subsystem.gated_samples
         for subsystem in tippers.sensor_manager.subsystems()
     )
-    report.quarantine_events = int(metrics.total("quarantine_events_total"))
-    report.quarantine_readmissions = int(
-        metrics.total("quarantine_readmissions_total")
-    )
     report.quarantine_final = supervisor.quarantined()
     report.fault_counts = injector.trace.counts()
     report.trace_text = injector.trace.to_text()
-    stats = bus.stats
-    report.bus_attempts = stats.calls
-    report.bus_logical_calls = stats.logical_calls
-    report.bus_retries = stats.retries
-    report.bus_shed = stats.shed
+    report.record_planes(bus, controller, metrics)
     if controller is not None:
-        ledger = controller.ledger
-        report.ledger_checked = ledger.checked
-        report.ledger_admitted = ledger.admitted
-        report.ledger_shed = ledger.shed
-        report.ledger_shed_by_class = dict(sorted(ledger.shed_by_class.items()))
-        report.ledger_brownouts = ledger.brownouts
-        report.injected_arrivals = ledger.injected_arrivals
-        report.browned_out_responses = ledger.brownouts
+        report.injected_arrivals = controller.ledger.injected_arrivals
+        report.browned_out_responses = controller.ledger.brownouts
         report.final_loads = controller.levels()
-
-    _check_invariants(report, controller)
+    report.check()
     return report
-
-
-def _check_invariants(
-    report: OverloadReport, controller: Optional[AdmissionController]
-) -> None:
-    """The acceptance invariants, machine-checked into ``violations``."""
-    if report.bus_attempts != report.bus_logical_calls + report.bus_retries:
-        report.violations.append(
-            "bus accounting: attempts (%d) != logical (%d) + retries (%d)"
-            % (report.bus_attempts, report.bus_logical_calls, report.bus_retries)
-        )
-    if controller is None:
-        return
-    critical_shed = report.ledger_shed_by_class.get(
-        Priority.CRITICAL.value, 0
-    )
-    if critical_shed or report.critical.shed:
-        report.violations.append(
-            "CRITICAL calls were shed (ledger=%d observed=%d)"
-            % (critical_shed, report.critical.shed)
-        )
-    if report.critical.completed != report.critical.attempted:
-        report.violations.append(
-            "CRITICAL calls failed: %d of %d did not complete"
-            % (
-                report.critical.attempted - report.critical.completed,
-                report.critical.attempted,
-            )
-        )
-    if report.deferrable.shed == 0:
-        report.violations.append("DEFERRABLE shed rate is 0 under overload")
-    if report.ledger_checked != report.ledger_admitted + report.ledger_shed:
-        report.violations.append(
-            "admission ledger: checked (%d) != admitted (%d) + shed (%d)"
-            % (report.ledger_checked, report.ledger_admitted, report.ledger_shed)
-        )
-    if report.bus_shed != report.ledger_shed:
-        report.violations.append(
-            "bus shed counter (%d) disagrees with admission ledger (%d)"
-            % (report.bus_shed, report.ledger_shed)
-        )
-    if report.brownout_marked_responses != report.ledger_brownouts:
-        report.violations.append(
-            "brownout markers: %d marked responses for %d browned-out "
-            "admissions" % (
-                report.brownout_marked_responses, report.ledger_brownouts
-            )
-        )
-    if report.brownout_marked_audit < report.brownout_marked_responses:
-        report.violations.append(
-            "audit trail: %d marked records for %d marked responses"
-            % (report.brownout_marked_audit, report.brownout_marked_responses)
-        )

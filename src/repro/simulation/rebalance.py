@@ -27,18 +27,15 @@ fail rather than answer (fail-closed), and a campus DSAR lands on a
 compacted segment may ever resurrect their observations.
 
 The report carries only counts and booleans, so two same-seed runs
-render byte-identical text (the ``rebalance`` CLI and CI diff them),
-and :attr:`RebalanceReport.violations` machine-checks the acceptance
-invariants.
+render byte-identical text (the pinned run is a golden file), and
+:attr:`RebalanceReport.INVARIANTS` declares the acceptance invariants.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.policy import catalog
 from repro.errors import (
@@ -48,20 +45,24 @@ from repro.errors import (
     SimulatedCrash,
 )
 from repro.faults import FaultInjector, build_plan
-from repro.federation import (
-    Campus,
-    RebalanceCoordinator,
-    campus_access_report,
-    campus_erase_subject,
-)
-from repro.net.admission import AdmissionController
+from repro.federation import Campus, RebalanceCoordinator
 from repro.net.bus import RpcError
-from repro.net.resilience import Deadline, RetryPolicy
+from repro.net.resilience import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
-from repro.simulation.inhabitants import Inhabitant, generate_inhabitants
+from repro.simulation.kernel import (
+    BUS_ACCOUNTING,
+    CampusReport,
+    Invariant,
+    has_marker,
+    home_assistants,
+    locate_request,
+    open_campus,
+    pairs,
+    partition_population,
+    storage_root,
+    workload_call,
+)
 from repro.simulation.mobility import BuildingWorld
-from repro.simulation.overload import ClassOutcome
-from repro.storage.recovery import RecoveryReport, recover
 
 DEFAULT_BUILDINGS = ("bldg-a", "bldg-b", "bldg-c")
 DEFAULT_NEW_BUILDING = "bldg-d"
@@ -71,17 +72,11 @@ MIGRATING_MARKER_PREFIX = "migrating:"
 
 
 @dataclass
-class RebalanceReport:
+class RebalanceReport(CampusReport):
     """Everything one rebalance run produced, rendered deterministically."""
 
-    plan: str
-    seed: int
-    population: int
-    ticks: int
-    buildings: List[str] = field(default_factory=list)
     new_building: str = ""
     drained_building: str = ""
-    residents_by_building: Dict[str, int] = field(default_factory=dict)
     final_residents_by_building: Dict[str, int] = field(default_factory=dict)
     ring_version: int = 1
     # Migration waves
@@ -91,12 +86,7 @@ class RebalanceReport:
     pending_remaining: int = 0
     observations_moved: int = 0
     preferences_moved: int = 0
-    # Crash + journal-guided resumption
-    crashed: bool = False
-    crash_building: str = ""
-    crash_step: int = -1
-    recovered: bool = False
-    recovery: Optional[RecoveryReport] = None
+    # Journal-guided resumption after the crash
     journal_entries: int = 0
     # Mid-migration forwarding
     forwarded_responses: int = 0
@@ -108,15 +98,7 @@ class RebalanceReport:
     failclosed_denied: int = 0
     failclosed_allows: int = 0
     # Mid-migration DSAR
-    dsar_subject: str = ""
     dsar_mid_flight: bool = False
-    dsar_buildings: List[str] = field(default_factory=list)
-    dsar_observations: int = 0
-    dsar_decisions: int = 0
-    dsar_erased: int = 0
-    dsar_withdrawn: int = 0
-    dsar_compacted: List[str] = field(default_factory=list)
-    dsar_unreachable: List[str] = field(default_factory=list)
     # Decommissioning
     decommissioned: List[str] = field(default_factory=list)
     unknown_probes: int = 0
@@ -126,36 +108,146 @@ class RebalanceReport:
     rehomed_assistants: int = 0
     rehome_pushed: int = 0
     rehome_pending: int = 0
-    # Workload classes
-    critical: ClassOutcome = field(default_factory=ClassOutcome)
-    normal: ClassOutcome = field(default_factory=ClassOutcome)
-    deferrable: ClassOutcome = field(default_factory=ClassOutcome)
-    # Shared-plane accounting
-    ledger_checked: int = 0
-    ledger_admitted: int = 0
-    ledger_shed: int = 0
-    stored_by_building: Dict[str, int] = field(default_factory=dict)
-    bus_attempts: int = 0
-    bus_logical_calls: int = 0
-    bus_retries: int = 0
-    bus_shed: int = 0
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    # End-of-run physical sweep (standalone recovery reader)
-    swept_shards: int = 0
-    resurrected: int = 0
+    # End-of-run physical sweep of the migration journals
     journal_snapshots_with_subject: int = 0
-    violations: List[str] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    TITLE = "rebalance run"
+    INVARIANTS = (
+        BUS_ACCOUNTING,
+        Invariant(
+            "critical_never_shed_or_failed",
+            lambda r: not (r.critical.shed or r.critical.failed),
+            lambda r: "CRITICAL calls shed or failed (shed=%d failed=%d)"
+            % (r.critical.shed, r.critical.failed),
+        ),
+        Invariant(
+            "ring_version",
+            lambda r: r.ring_version == 3,
+            lambda r: "ring version %d after one join and one drain; "
+            "expected 3" % r.ring_version,
+        ),
+        Invariant(
+            "join_wave_size",
+            lambda r: r.wave1_planned >= 3,
+            lambda r: "join wave planned %d migration(s); the ring-change "
+            "windows need at least 3" % r.wave1_planned,
+        ),
+        Invariant(
+            "cutover_partition_once",
+            lambda r: r.fault_counts.get("cutover_partition", 0) == 1,
+            lambda r: "cutover_partition fired %d time(s); expected exactly 1"
+            % r.fault_counts.get("cutover_partition", 0),
+        ),
+        Invariant(
+            "crash_mid_migration_once",
+            lambda r: r.fault_counts.get("crash_mid_migration", 0) == 1,
+            lambda r: "crash_mid_migration fired %d time(s); expected exactly 1"
+            % r.fault_counts.get("crash_mid_migration", 0),
+        ),
+        Invariant(
+            "crash_recovered",
+            lambda r: r.crashed and r.recovered,
+            lambda r: "crash/recovery did not complete (crashed=%s "
+            "recovered=%s)" % (r.crashed, r.recovered),
+        ),
+        Invariant(
+            "journal_entries",
+            lambda r: r.journal_entries >= 2,
+            lambda r: "recovered migration journal held %d entr(ies); expected "
+            "the partitioned and crashed migrations both journaled"
+            % r.journal_entries,
+        ),
+        Invariant(
+            "migrations_converged",
+            lambda r: r.converged() == r.migration_stats.get("planned", 0)
+            and not r.pending_remaining,
+            lambda r: "migrations did not converge: planned=%d converged=%d "
+            "pending=%d" % (r.migration_stats.get("planned", 0), r.converged(),
+                            r.pending_remaining),
+        ),
+        Invariant(
+            "forwarded_responses",
+            lambda r: r.forwarded_responses != 0,
+            lambda r: "no forwarded mid-migration decisions served",
+        ),
+        Invariant(
+            "forwarded_marked",
+            lambda r: not r.unmarked_responses,
+            lambda r: "%d forwarded decision(s) lacked the migrating: marker"
+            % r.unmarked_responses,
+        ),
+        Invariant(
+            "forwarded_audited",
+            lambda r: r.marked_responses == r.marked_audit,
+            lambda r: "decision ledger: %d marked responses but %d marked "
+            "audit records (lost or duplicated decisions)"
+            % (r.marked_responses, r.marked_audit),
+        ),
+        Invariant(
+            "failclosed_probes",
+            lambda r: r.failclosed_probes != 0,
+            lambda r: "no fail-closed probes ran at the dark shard",
+        ),
+        Invariant(
+            "failclosed",
+            lambda r: not r.failclosed_allows,
+            lambda r: "%d probe(s) were answered while the destination was "
+            "dark (fail-open)" % r.failclosed_allows,
+        ),
+        Invariant(
+            "dsar_mid_flight",
+            lambda r: r.dsar_mid_flight,
+            lambda r: "the DSAR subject was not mid-migration",
+        ),
+        Invariant(
+            "dsar_erased",
+            lambda r: r.dsar_erased != 0,
+            lambda r: "DSAR erasure removed no observations",
+        ),
+        Invariant(
+            "dsar_fanout",
+            lambda r: len(r.dsar_buildings) >= 2,
+            lambda r: "DSAR fan-out reached %d building(s); a mid-migration "
+            "subject spans at least 2" % len(r.dsar_buildings),
+        ),
+        Invariant(
+            "no_resurrection",
+            lambda r: not (r.resurrected or r.journal_snapshots_with_subject),
+            lambda r: "post-DSAR resurrection: %d observation(s), %d journal "
+            "snapshot(s) still hold the subject"
+            % (r.resurrected, r.journal_snapshots_with_subject),
+        ),
+        Invariant(
+            "decommissioned",
+            lambda r: r.decommissioned == [r.drained_building],
+            lambda r: "decommissioned=[%s]; expected [%s]"
+            % (", ".join(r.decommissioned), r.drained_building),
+        ),
+        Invariant(
+            "unknown_rejected",
+            lambda r: r.unknown_rejections >= r.unknown_probes,
+            lambda r: "unknown-building rejections (%d) below probes (%d)"
+            % (r.unknown_rejections, r.unknown_probes),
+        ),
+        Invariant(
+            "breakers_evicted",
+            lambda r: not r.breaker_entries_left,
+            lambda r: "%d breaker entr(ies) survived decommissioning"
+            % r.breaker_entries_left,
+        ),
+        Invariant(
+            "assistants_rehomed",
+            lambda r: r.rehomed_assistants != 0,
+            lambda r: "no assistants were re-homed after the moves",
+        ),
+    )
 
-    def to_dict(self) -> Dict[str, Any]:
+    def converged(self) -> int:
+        stats = self.migration_stats
+        return stats.get("completed", 0) + stats.get("already_finalized", 0)
+
+    def body(self) -> Dict[str, Any]:
         return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "population": self.population,
-            "ticks": self.ticks,
             "buildings": list(self.buildings),
             "new_building": self.new_building,
             "drained_building": self.drained_building,
@@ -172,16 +264,7 @@ class RebalanceReport:
                 "observations_moved": self.observations_moved,
                 "preferences_moved": self.preferences_moved,
             },
-            "crash": {
-                "crashed": self.crashed,
-                "building": self.crash_building,
-                "step": self.crash_step,
-                "recovered": self.recovered,
-                "recovery": None
-                if self.recovery is None
-                else self.recovery.to_dict(),
-                "journal_entries": self.journal_entries,
-            },
+            "crash": self.crash_dict(journal_entries=self.journal_entries),
             "forwarding": {
                 "responses": self.forwarded_responses,
                 "marked": self.marked_responses,
@@ -193,17 +276,7 @@ class RebalanceReport:
                 "denied": self.failclosed_denied,
                 "allows": self.failclosed_allows,
             },
-            "dsar": {
-                "subject": self.dsar_subject,
-                "mid_flight": self.dsar_mid_flight,
-                "buildings": list(self.dsar_buildings),
-                "observations": self.dsar_observations,
-                "decisions": self.dsar_decisions,
-                "erased": self.dsar_erased,
-                "withdrawn": self.dsar_withdrawn,
-                "compacted": list(self.dsar_compacted),
-                "unreachable": list(self.dsar_unreachable),
-            },
+            "dsar": self.dsar_dict(mid_flight=self.dsar_mid_flight),
             "decommission": {
                 "decommissioned": list(self.decommissioned),
                 "unknown_probes": self.unknown_probes,
@@ -215,128 +288,63 @@ class RebalanceReport:
                 "pushed": self.rehome_pushed,
                 "pending": self.rehome_pending,
             },
-            "classes": {
-                "critical": self.critical.to_dict(),
-                "normal": self.normal.to_dict(),
-                "deferrable": self.deferrable.to_dict(),
-            },
-            "ledger": {
-                "checked": self.ledger_checked,
-                "admitted": self.ledger_admitted,
-                "shed": self.ledger_shed,
-            },
+            "classes": self.classes_dict(),
+            "ledger": self.ledger_dict(),
             "stored_by_building": dict(self.stored_by_building),
-            "bus": {
-                "attempts": self.bus_attempts,
-                "logical_calls": self.bus_logical_calls,
-                "retries": self.bus_retries,
-                "shed": self.bus_shed,
-            },
-            "fault_counts": dict(self.fault_counts),
-            "sweep": {
-                "shards": self.swept_shards,
-                "resurrected": self.resurrected,
-                "journal_snapshots_with_subject":
-                    self.journal_snapshots_with_subject,
-            },
-            "violations": list(self.violations),
-            "ok": self.ok,
+            "bus": self.bus_dict(shed=self.bus_shed),
+            "sweep": self.sweep_dict(
+                journal_snapshots_with_subject=self.journal_snapshots_with_subject
+            ),
         }
 
-    def summary_lines(self) -> List[str]:
+    def body_lines(self) -> List[str]:
         stats = self.migration_stats
-        lines = [
-            "rebalance run: plan=%s seed=%d population=%d ticks=%d "
-            "buildings=%d" % (self.plan, self.seed, self.population,
-                              self.ticks, len(self.buildings)),
-            "topology: joined=%s drained=%s ring_version=%d"
-            % (self.new_building, self.drained_building, self.ring_version),
-            "residents before: "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.residents_by_building.items())
-            ),
-            "residents after:  "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.final_residents_by_building.items())
-            ),
-            "waves: wave1=%d wave2=%d pending_left=%d"
-            % (self.wave1_planned, self.wave2_planned,
-               self.pending_remaining),
-            "migrations: "
-            + ", ".join(
-                "%s=%d" % (key, stats[key]) for key in sorted(stats)
-            ),
-            "moved: observations=%d preferences=%d"
-            % (self.observations_moved, self.preferences_moved),
-            "crash: crashed=%s building=%s step=%d recovered=%s "
-            "journal_entries=%d"
-            % (self.crashed, self.crash_building or "none", self.crash_step,
-               self.recovered, self.journal_entries),
-        ]
-        if self.recovery is not None:
-            lines.extend(self.recovery.lines())
-        lines.extend([
-            "forwarding: responses=%d marked=%d unmarked=%d marked_audit=%d"
-            % (self.forwarded_responses, self.marked_responses,
-               self.unmarked_responses, self.marked_audit),
-            "fail-closed: probes=%d denied=%d allows=%d"
-            % (self.failclosed_probes, self.failclosed_denied,
-               self.failclosed_allows),
-            "dsar: subject=%s mid_flight=%s buildings=[%s] observations=%d "
-            "decisions=%d"
-            % (self.dsar_subject or "none", self.dsar_mid_flight,
-               ", ".join(self.dsar_buildings), self.dsar_observations,
-               self.dsar_decisions),
-            "dsar erase: erased=%d withdrawn=%d compacted=[%s] "
-            "unreachable=[%s]"
-            % (self.dsar_erased, self.dsar_withdrawn,
-               ", ".join(self.dsar_compacted),
-               ", ".join(self.dsar_unreachable)),
-            "decommission: gone=[%s] unknown_probes=%d rejections=%d "
-            "breaker_entries_left=%d"
-            % (", ".join(self.decommissioned), self.unknown_probes,
-               self.unknown_rejections, self.breaker_entries_left),
-            "rehome: assistants=%d pushed=%d pending=%d"
-            % (self.rehomed_assistants, self.rehome_pushed,
-               self.rehome_pending),
-            "critical:   attempted=%d completed=%d shed=%d failed=%d"
-            % (self.critical.attempted, self.critical.completed,
-               self.critical.shed, self.critical.failed),
-            "normal:     attempted=%d completed=%d shed=%d failed=%d"
-            % (self.normal.attempted, self.normal.completed,
-               self.normal.shed, self.normal.failed),
-            "deferrable: attempted=%d completed=%d shed=%d failed=%d"
-            % (self.deferrable.attempted, self.deferrable.completed,
-               self.deferrable.shed, self.deferrable.failed),
-            "admission ledger: checked=%d admitted=%d shed=%d"
-            % (self.ledger_checked, self.ledger_admitted, self.ledger_shed),
-            "stored: "
-            + ", ".join(
-                "%s=%d" % (b, n)
-                for b, n in sorted(self.stored_by_building.items())
-            ),
-            "bus: attempts=%d logical=%d retries=%d shed=%d"
-            % (self.bus_attempts, self.bus_logical_calls, self.bus_retries,
-               self.bus_shed),
-            "sweep: shards=%d resurrected=%d journal_snapshots=%d"
-            % (self.swept_shards, self.resurrected,
-               self.journal_snapshots_with_subject),
-        ])
-        fired = ", ".join(
-            "%s=%d" % (kind, count)
-            for kind, count in sorted(self.fault_counts.items())
+        return (
+            [
+                "topology: joined=%s drained=%s ring_version=%d"
+                % (self.new_building, self.drained_building, self.ring_version),
+                "residents before: " + pairs(self.residents_by_building),
+                "residents after:  " + pairs(self.final_residents_by_building),
+                "waves: wave1=%d wave2=%d pending_left=%d"
+                % (self.wave1_planned, self.wave2_planned,
+                   self.pending_remaining),
+                "migrations: "
+                + ", ".join("%s=%d" % (key, stats[key]) for key in sorted(stats)),
+                "moved: observations=%d preferences=%d"
+                % (self.observations_moved, self.preferences_moved),
+            ]
+            + self.crash_lines(
+                "step=%d recovered=%s journal_entries=%d"
+                % (self.crash_step, self.recovered, self.journal_entries)
+            )
+            + [
+                "forwarding: responses=%d marked=%d unmarked=%d marked_audit=%d"
+                % (self.forwarded_responses, self.marked_responses,
+                   self.unmarked_responses, self.marked_audit),
+                "fail-closed: probes=%d denied=%d allows=%d"
+                % (self.failclosed_probes, self.failclosed_denied,
+                   self.failclosed_allows),
+            ]
+            + self.dsar_lines("mid_flight=%s " % self.dsar_mid_flight)
+            + [
+                "decommission: gone=[%s] unknown_probes=%d rejections=%d "
+                "breaker_entries_left=%d"
+                % (", ".join(self.decommissioned), self.unknown_probes,
+                   self.unknown_rejections, self.breaker_entries_left),
+                "rehome: assistants=%d pushed=%d pending=%d"
+                % (self.rehomed_assistants, self.rehome_pushed,
+                   self.rehome_pending),
+            ]
+            + self.class_lines(shed_rate=False)
+            + [
+                self.ledger_line(),
+                self.stored_line(),
+                self.bus_line("shed=%d" % self.bus_shed),
+                self.sweep_line(
+                    " journal_snapshots=%d" % self.journal_snapshots_with_subject
+                ),
+            ]
         )
-        lines.append("faults fired: %s" % (fired or "none"))
-        for violation in self.violations:
-            lines.append("VIOLATION: %s" % violation)
-        lines.append("result: %s" % ("OK" if self.ok else "FAILED"))
-        return lines
-
-    @property
-    def report_text(self) -> str:
-        return "".join(line + "\n" for line in self.summary_lines())
 
 
 class _Run:
@@ -367,33 +375,14 @@ class _Run:
         #: user -> IoTAssistant; populated by ``_run`` before tick 0.
         self.assistants: Dict[str, Any] = {}
 
-    def call(
-        self,
-        outcome: ClassOutcome,
-        target: str,
-        method: str,
-        payload: Dict[str, Any],
-        principal: str,
-    ) -> Optional[Dict[str, Any]]:
-        """One accounted workload call to a bus endpoint."""
-        outcome.attempted += 1
-        try:
-            response = self.campus.bus.call(
-                target,
-                method,
-                payload,
-                retry_policy=self.retry_policy,
-                deadline=Deadline(10.0),
-                principal=principal,
-            )
-        except AdmissionShedError:
-            outcome.shed += 1
-            return None
-        except (RpcError, NetworkError):
-            outcome.failed += 1
-            return None
-        outcome.completed += 1
-        return response
+    def locate_home(self, user_id: str) -> Dict[str, Any]:
+        """A locate routed to ``user_id``'s home through the router."""
+        return self.campus.router.call_home(
+            user_id,
+            "locate_user",
+            locate_request(user_id, self.now),
+            principal="svc-occupancy",
+        )
 
     def locate(self, user_id: str) -> Optional[Dict[str, Any]]:
         """One NORMAL locate routed through the federation router.
@@ -404,32 +393,15 @@ class _Run:
         """
         report = self.report
         migration = self.campus.router.migration_of(user_id)
-        report.normal.attempted += 1
-        try:
-            response = self.campus.router.call_home(
-                user_id,
-                "locate_user",
-                {
-                    "requester_id": "svc-occupancy",
-                    "requester_kind": "building_service",
-                    "subject_id": user_id,
-                    "now": self.now,
-                },
-                principal="svc-occupancy",
-            )
-        except AdmissionShedError:
-            report.normal.shed += 1
+        response = report.normal.attempt(
+            lambda: self.locate_home(user_id),
+            failures=(NetworkError, FederationError),
+        )
+        if response is None:
             return None
-        except (RpcError, NetworkError, FederationError):
-            report.normal.failed += 1
-            return None
-        report.normal.completed += 1
         if migration is not None:
             report.forwarded_responses += 1
-            if any(
-                reason.startswith(MIGRATING_MARKER_PREFIX)
-                for reason in response["reasons"]
-            ):
+            if has_marker(response["reasons"], MIGRATING_MARKER_PREFIX):
                 report.marked_responses += 1
             else:
                 report.unmarked_responses += 1
@@ -458,12 +430,10 @@ class _Run:
         for building_id in sorted(live):
             if live[building_id].down:
                 continue
-            self.call(
-                report.critical,
-                live[building_id].endpoint,
-                "get_policy_document",
-                {},
-                "svc-policy-sync",
+            workload_call(
+                campus.bus, report.critical, live[building_id].endpoint,
+                "get_policy_document", {}, "svc-policy-sync",
+                self.retry_policy,
             )
         for user_id in sorted(campus.home_of):
             self.locate(user_id)
@@ -472,12 +442,10 @@ class _Run:
             shard = live.get(home)
             if shard is None:
                 continue
-            self.call(
-                report.deferrable,
-                shard.registry_endpoint,
-                "discover",
-                {"space_id": home},
-                "iota-%s" % user_id,
+            workload_call(
+                campus.bus, report.deferrable, shard.registry_endpoint,
+                "discover", {"space_id": home}, "iota-%s" % user_id,
+                self.retry_policy,
             )
         self.now += 60.0
 
@@ -488,17 +456,7 @@ class _Run:
         for user_id in self.campus.router.migrating_principals():
             report.failclosed_probes += 1
             try:
-                self.campus.router.call_home(
-                    user_id,
-                    "locate_user",
-                    {
-                        "requester_id": "svc-occupancy",
-                        "requester_kind": "building_service",
-                        "subject_id": user_id,
-                        "now": self.now,
-                    },
-                    principal="svc-occupancy",
-                )
+                self.locate_home(user_id)
             except (RpcError, NetworkError, AdmissionShedError):
                 report.failclosed_denied += 1
                 continue
@@ -534,40 +492,10 @@ def run_rebalance_scenario(
         new_building=new_building,
         drained_building=buildings[0],
     )
-    owns_directory = directory is None
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-rebalance-")
-    try:
+    with storage_root(directory, "repro-rebalance-") as root:
         _run(report, plan_name, seed, population, ticks, list(buildings),
-             new_building, directory, segment_bytes, metrics)
-    finally:
-        if owns_directory:
-            shutil.rmtree(directory, ignore_errors=True)
+             new_building, root, segment_bytes, metrics)
     return report
-
-
-def _partition_population(
-    campus: Campus, population: int, seed: int
-) -> Dict[str, List[Inhabitant]]:
-    """Ring-partition a campus-global population into shard residents."""
-    user_ids = ["campus-user-%04d" % index for index in range(1, population + 1)]
-    by_building: Dict[str, List[str]] = {b: [] for b in campus.building_ids()}
-    for user_id in user_ids:
-        by_building[campus.router.home_building(user_id)].append(user_id)
-    residents: Dict[str, List[Inhabitant]] = {}
-    for building_id in sorted(by_building):
-        ids = by_building[building_id]
-        shard = campus.shard(building_id)
-        residents[building_id] = generate_inhabitants(
-            shard.spatial,
-            len(ids),
-            seed=seed,
-            building_id=building_id,
-            user_ids=ids,
-        )
-        for inhabitant in residents[building_id]:
-            campus.add_resident(building_id, inhabitant.profile)
-    return residents
 
 
 def _run(
@@ -582,29 +510,12 @@ def _run(
     segment_bytes: int,
     metrics: Optional[MetricsRegistry] = None,
 ) -> None:
-    from repro.iota.assistant import IoTAssistant
-
     if metrics is None:
         metrics = MetricsRegistry()
-    controller = AdmissionController(
-        seed=seed,
-        queue_capacity=8,
-        high_watermark=0.5,
-        shed_watermark=0.8,
-        drain_per_step=0.25,
-        principal_capacity=16.0,
-        principal_refill_per_step=1.0,
-        metrics=metrics,
+    campus, controller = open_campus(
+        buildings, seed, directory, segment_bytes, metrics
     )
-    campus = Campus(
-        buildings,
-        seed=seed,
-        storage_root=directory,
-        segment_bytes=segment_bytes,
-        metrics=metrics,
-        admission=controller,
-    )
-    residents = _partition_population(campus, population, seed)
+    residents = partition_population(campus, population, seed)
     report.residents_by_building = {
         b: len(people) for b, people in residents.items()
     }
@@ -617,22 +528,8 @@ def _run(
         for b, people in residents.items()
         for person in people
     }
-
     retry_policy = RetryPolicy(seed=seed)
-    assistants: Dict[str, IoTAssistant] = {}
-    for user_id in sorted(building_of):
-        profile = campus.profile_of(user_id)
-        if not profile.has_iota:
-            continue
-        shard = campus.shard(campus.home_of[user_id])
-        assistants[user_id] = IoTAssistant(
-            user_id,
-            campus.bus,
-            tippers_endpoint=shard.endpoint,
-            registry_endpoints=[shard.registry_endpoint],
-            metrics=metrics,
-            retry_policy=retry_policy,
-        )
+    assistants = home_assistants(campus, metrics, retry_policy)
 
     coordinator = RebalanceCoordinator(campus, retry_policy=retry_policy)
     plan = build_plan(plan_name, seed)
@@ -671,10 +568,7 @@ def _run(
         report.marked_audit += sum(
             1
             for record in shard.tippers.audit
-            if any(
-                reason.startswith(MIGRATING_MARKER_PREFIX)
-                for reason in record.reasons
-            )
+            if has_marker(record.reasons, MIGRATING_MARKER_PREFIX)
         )
     if campus.bus.breakers is not None:
         states = campus.bus.breakers.states()
@@ -688,15 +582,7 @@ def _run(
     report.unknown_rejections = int(
         metrics.total("federation_unknown_building_total")
     )
-    stats = campus.bus.stats
-    report.bus_attempts = stats.calls
-    report.bus_logical_calls = stats.logical_calls
-    report.bus_retries = stats.retries
-    report.bus_shed = stats.shed
-    ledger = controller.ledger
-    report.ledger_checked = ledger.checked
-    report.ledger_admitted = ledger.admitted
-    report.ledger_shed = ledger.shed
+    report.record_planes(campus.bus, controller, metrics)
 
     # ------------------------------------------------------------------
     # Physical-absence sweep: every storage directory on disk (the
@@ -710,13 +596,7 @@ def _run(
             shard_dir = os.path.join(directory, name)
             if not os.path.isdir(shard_dir):
                 continue
-            state = recover(shard_dir, now=end_now)
-            report.swept_shards += 1
-            report.resurrected += sum(
-                1
-                for obs in state.datastore.query(subject_id=report.dsar_subject)
-                if obs.timestamp <= run.erase_now
-            )
+            state = report.sweep(shard_dir, end_now, run.erase_now)
             for entry in state.migrations.values():
                 snapshot = entry.get("snapshot")
                 if (
@@ -726,7 +606,7 @@ def _run(
                 ):
                     report.journal_snapshots_with_subject += 1
 
-    _check_invariants(report)
+    report.check()
 
 
 def _phases(run: _Run, ticks: int, new_building: str) -> None:
@@ -871,24 +751,8 @@ def _run_dsar(run: _Run) -> None:
     else:
         migrating = campus.router.migrating_principals()
         subject = migrating[0] if migrating else sorted(campus.home_of)[0]
-    report.dsar_subject = subject
     report.dsar_mid_flight = campus.router.migration_of(subject) is not None
-    run.erase_now = run.now + 0.5
-    access = campus_access_report(campus, subject, run.now)
-    report.dsar_buildings = list(access.buildings)
-    report.dsar_observations = access.observations_total
-    report.dsar_decisions = access.decisions_total
-    report.dsar_unreachable = list(access.unreachable)
-    receipt = campus_erase_subject(
-        campus, subject, run.erase_now,
-        withdraw_preferences=True, compact_storage=True,
-    )
-    report.dsar_erased = receipt.erased_observations
-    report.dsar_withdrawn = receipt.withdrawn_preferences
-    report.dsar_compacted = list(receipt.compacted_buildings)
-    for building in receipt.unreachable:
-        if building not in report.dsar_unreachable:
-            report.dsar_unreachable.append(building)
+    run.erase_now = report.run_dsar(campus, subject, run.now)
 
 
 def _absorb(report: RebalanceReport, outcome: Any) -> None:
@@ -896,110 +760,3 @@ def _absorb(report: RebalanceReport, outcome: Any) -> None:
         return
     report.observations_moved += outcome.observations_moved
     report.preferences_moved += outcome.preferences_moved
-
-
-def _check_invariants(report: RebalanceReport) -> None:
-    """The acceptance invariants, machine-checked into ``violations``."""
-    stats = report.migration_stats
-    if report.bus_attempts != report.bus_logical_calls + report.bus_retries:
-        report.violations.append(
-            "bus accounting: attempts (%d) != logical (%d) + retries (%d)"
-            % (report.bus_attempts, report.bus_logical_calls,
-               report.bus_retries)
-        )
-    if report.critical.shed or report.critical.failed:
-        report.violations.append(
-            "CRITICAL calls shed or failed (shed=%d failed=%d)"
-            % (report.critical.shed, report.critical.failed)
-        )
-    if report.ring_version != 3:
-        report.violations.append(
-            "ring version %d after one join and one drain; expected 3"
-            % report.ring_version
-        )
-    if report.wave1_planned < 3:
-        report.violations.append(
-            "join wave planned %d migration(s); the ring-change windows "
-            "need at least 3" % report.wave1_planned
-        )
-    if report.fault_counts.get("cutover_partition", 0) != 1:
-        report.violations.append(
-            "cutover_partition fired %d time(s); expected exactly 1"
-            % report.fault_counts.get("cutover_partition", 0)
-        )
-    if report.fault_counts.get("crash_mid_migration", 0) != 1:
-        report.violations.append(
-            "crash_mid_migration fired %d time(s); expected exactly 1"
-            % report.fault_counts.get("crash_mid_migration", 0)
-        )
-    if not report.crashed or not report.recovered:
-        report.violations.append(
-            "crash/recovery did not complete (crashed=%s recovered=%s)"
-            % (report.crashed, report.recovered)
-        )
-    if report.journal_entries < 2:
-        report.violations.append(
-            "recovered migration journal held %d entr(ies); expected the "
-            "partitioned and crashed migrations both journaled"
-            % report.journal_entries
-        )
-    converged = (
-        stats.get("completed", 0) + stats.get("already_finalized", 0)
-    )
-    if converged != stats.get("planned", 0) or report.pending_remaining:
-        report.violations.append(
-            "migrations did not converge: planned=%d converged=%d pending=%d"
-            % (stats.get("planned", 0), converged, report.pending_remaining)
-        )
-    if report.forwarded_responses == 0:
-        report.violations.append("no forwarded mid-migration decisions served")
-    if report.unmarked_responses:
-        report.violations.append(
-            "%d forwarded decision(s) lacked the migrating: marker"
-            % report.unmarked_responses
-        )
-    if report.marked_responses != report.marked_audit:
-        report.violations.append(
-            "decision ledger: %d marked responses but %d marked audit "
-            "records (lost or duplicated decisions)"
-            % (report.marked_responses, report.marked_audit)
-        )
-    if report.failclosed_probes == 0:
-        report.violations.append("no fail-closed probes ran at the dark shard")
-    if report.failclosed_allows:
-        report.violations.append(
-            "%d probe(s) were answered while the destination was dark "
-            "(fail-open)" % report.failclosed_allows
-        )
-    if not report.dsar_mid_flight:
-        report.violations.append("the DSAR subject was not mid-migration")
-    if report.dsar_erased == 0:
-        report.violations.append("DSAR erasure removed no observations")
-    if len(report.dsar_buildings) < 2:
-        report.violations.append(
-            "DSAR fan-out reached %d building(s); a mid-migration subject "
-            "spans at least 2" % len(report.dsar_buildings)
-        )
-    if report.resurrected or report.journal_snapshots_with_subject:
-        report.violations.append(
-            "post-DSAR resurrection: %d observation(s), %d journal "
-            "snapshot(s) still hold the subject"
-            % (report.resurrected, report.journal_snapshots_with_subject)
-        )
-    if report.decommissioned != [report.drained_building]:
-        report.violations.append(
-            "decommissioned=[%s]; expected [%s]"
-            % (", ".join(report.decommissioned), report.drained_building)
-        )
-    if report.unknown_rejections < report.unknown_probes:
-        report.violations.append(
-            "unknown-building rejections (%d) below probes (%d)"
-            % (report.unknown_rejections, report.unknown_probes)
-        )
-    if report.breaker_entries_left:
-        report.violations.append(
-            "%d breaker entr(ies) survived decommissioning"
-            % report.breaker_entries_left
-        )
-    if report.rehomed_assistants == 0:
-        report.violations.append("no assistants were re-homed after the moves")

@@ -19,15 +19,13 @@ the recovery invariants:
 The scenario's :attr:`RecoveryScenarioReport.report_text` contains only
 counts, LSNs, and segment names -- no paths, byte offsets, or
 observation ids -- so two runs with the same seed render byte-identical
-text (the ``chaos --recover`` CLI and CI diff them).
+text (the pinned runs are golden files).
 """
 
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.policy import catalog
@@ -35,12 +33,15 @@ from repro.core.policy.base import RequesterKind
 from repro.errors import NetworkError, PolicyError, ServiceError, SimulatedCrash
 from repro.faults import FaultInjector, build_plan
 from repro.obs.metrics import MetricsRegistry
-from repro.simulation.inhabitants import generate_inhabitants
+from repro.simulation.kernel import (
+    Invariant,
+    ScenarioReport,
+    compact_building,
+    storage_root,
+)
 from repro.simulation.mobility import BuildingWorld
-from repro.spatial.model import SpaceType, build_simple_building
 from repro.storage.durable import StorageEngine
 from repro.storage.recovery import RecoveryReport
-from repro.tippers.bms import TIPPERS
 from repro.tippers.dsar import erase_subject
 
 BUILDING_ID = "durable"
@@ -55,13 +56,9 @@ def _canonical(data: Dict[str, Any]) -> str:
 
 
 @dataclass
-class RecoveryScenarioReport:
+class RecoveryScenarioReport(ScenarioReport):
     """One crash+recover cycle, rendered deterministically."""
 
-    plan: str
-    seed: int
-    population: int
-    ticks: int
     crashed: bool = False
     crash_step: int = -1
     crash_detail: str = ""
@@ -75,19 +72,35 @@ class RecoveryScenarioReport:
     audit_prefix_ok: bool = False
     erasure_ok: bool = False
     retention_ok: bool = False
-    violations: List[str] = field(default_factory=list)
-    fault_counts: Dict[str, int] = field(default_factory=dict)
+    recovered_audit: int = 0
+    resurrected: int = 0
+    outlived_retention: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    TITLE = "recovery scenario"
+    INVARIANTS = (
+        Invariant(
+            "audit_prefix",
+            lambda r: r.audit_prefix_ok,
+            lambda r: "recovered audit (%d records) is not a prefix of the "
+            "submitted sequence (%d records)"
+            % (r.recovered_audit, r.submitted_audit),
+        ),
+        Invariant(
+            "erasure",
+            lambda r: r.erasure_ok,
+            lambda r: "recovery resurrected %d erased observation(s) of the "
+            "DSAR subject" % r.resurrected,
+        ),
+        Invariant(
+            "retention",
+            lambda r: r.retention_ok,
+            lambda r: "%d observation(s) outlived their retention through "
+            "recovery" % r.outlived_retention,
+        ),
+    )
 
-    def to_dict(self) -> Dict[str, Any]:
+    def body(self) -> Dict[str, Any]:
         return {
-            "plan": self.plan,
-            "seed": self.seed,
-            "population": self.population,
-            "ticks": self.ticks,
             "crashed": self.crashed,
             "crash_step": self.crash_step,
             "crash_detail": self.crash_detail,
@@ -103,15 +116,10 @@ class RecoveryScenarioReport:
                 "erasure": self.erasure_ok,
                 "retention": self.retention_ok,
             },
-            "violations": list(self.violations),
-            "fault_counts": dict(self.fault_counts),
-            "ok": self.ok,
         }
 
-    def summary_lines(self) -> List[str]:
+    def body_lines(self) -> List[str]:
         lines = [
-            "recovery scenario: plan=%s seed=%d population=%d ticks=%d"
-            % (self.plan, self.seed, self.population, self.ticks),
             "crash: crashed=%s step=%d detail=%s ticks_completed=%d"
             % (self.crashed, self.crash_step, self.crash_detail or "none",
                self.ticks_completed),
@@ -125,45 +133,7 @@ class RecoveryScenarioReport:
             "invariants: audit_prefix=%s erasure=%s retention=%s"
             % (self.audit_prefix_ok, self.erasure_ok, self.retention_ok)
         )
-        for violation in self.violations:
-            lines.append("VIOLATION: %s" % violation)
-        fired = ", ".join(
-            "%s=%d" % (kind, count)
-            for kind, count in sorted(self.fault_counts.items())
-        )
-        lines.append("faults fired: %s" % (fired or "none"))
-        lines.append("result: %s" % ("OK" if self.ok else "FAILED"))
         return lines
-
-    @property
-    def report_text(self) -> str:
-        return "".join(line + "\n" for line in self.summary_lines())
-
-
-def _build_tippers(
-    storage: StorageEngine, metrics: MetricsRegistry, population: int, seed: int
-):
-    spatial = build_simple_building(BUILDING_ID, floors=2, rooms_per_floor=6)
-    tippers = TIPPERS(
-        spatial,
-        BUILDING_ID,
-        owner_name="Durable Labs",
-        enforce_capture=True,
-        cache_decisions=False,
-        metrics=metrics,
-        storage=storage,
-    )
-    rooms = sorted(s.space_id for s in spatial.spaces_of_type(SpaceType.ROOM))
-    for index, room in enumerate(rooms):
-        tippers.deploy_sensor("wifi_access_point", "ap-%02d" % (index + 1), room)
-        tippers.deploy_sensor("motion_sensor", "motion-%02d" % (index + 1), room)
-    tippers.define_policy(catalog.policy_service_sharing(BUILDING_ID))
-    tippers.define_policy(catalog.policy_2_emergency_location(BUILDING_ID))
-    tippers.define_policy(catalog.policy_1_comfort(rooms))
-    inhabitants = generate_inhabitants(spatial, population, seed=seed)
-    for inhabitant in inhabitants:
-        tippers.add_user(inhabitant.profile)
-    return tippers, inhabitants
 
 
 def run_recovery_scenario(
@@ -184,15 +154,9 @@ def run_recovery_scenario(
     report = RecoveryScenarioReport(
         plan=plan_name, seed=seed, population=population, ticks=ticks
     )
-    owns_directory = directory is None
-    if directory is None:
-        directory = tempfile.mkdtemp(prefix="repro-recover-")
-    try:
+    with storage_root(directory, "repro-recover-") as root:
         _run_phases(report, plan_name, seed, population, ticks,
-                    directory, segment_bytes, downtime_s)
-    finally:
-        if owns_directory:
-            shutil.rmtree(directory, ignore_errors=True)
+                    root, segment_bytes, downtime_s)
     return report
 
 
@@ -211,7 +175,9 @@ def _run_phases(
     # ------------------------------------------------------------------
     metrics = MetricsRegistry()
     storage = StorageEngine(directory, segment_bytes=segment_bytes, metrics=metrics)
-    tippers, inhabitants = _build_tippers(storage, metrics, population, seed)
+    tippers, inhabitants = compact_building(
+        BUILDING_ID, "Durable Labs", population, seed, metrics, storage=storage
+    )
     world = BuildingWorld(tippers.spatial, inhabitants, seed=seed)
 
     submitted_audit: List[str] = []
@@ -283,7 +249,9 @@ def _run_phases(
 
     metrics2 = MetricsRegistry()
     storage2 = StorageEngine(directory, segment_bytes=segment_bytes, metrics=metrics2)
-    recovered, _ = _build_tippers(storage2, metrics2, population, seed)
+    recovered, _ = compact_building(
+        BUILDING_ID, "Durable Labs", population, seed, metrics2, storage=storage2
+    )
     recover_now = now + downtime_s
     recovery = recovered.recover(recover_now)
     report.recovery = recovery
@@ -293,48 +261,34 @@ def _run_phases(
     recovered_lines = [
         _canonical(audit_record_to_dict(record)) for record in recovered.audit
     ]
+    report.recovered_audit = len(recovered_lines)
     report.audit_prefix_ok = (
         len(recovered_lines) <= len(submitted_audit)
         and recovered_lines == submitted_audit[: len(recovered_lines)]
     )
-    if not report.audit_prefix_ok:
-        report.violations.append(
-            "recovered audit (%d records) is not a prefix of the submitted "
-            "sequence (%d records)" % (len(recovered_lines), len(submitted_audit))
-        )
 
     # Invariant 2: an acknowledged erasure survives the crash -- no
     # recovered observation of the erased subject predates it.
     # (Observations captured after the erasure are legitimately new.)
-    resurrected = 0
     if report.erase_done:
-        resurrected = sum(
+        report.resurrected = sum(
             1
             for obs in recovered.datastore.query(subject_id=erased_user)
             if obs.timestamp <= erase_now
         )
-    report.erasure_ok = resurrected == 0
-    if not report.erasure_ok:
-        report.violations.append(
-            "recovery resurrected %d erased observation(s) of the DSAR subject"
-            % resurrected
-        )
+    report.erasure_ok = report.resurrected == 0
 
     # Invariant 3: nothing older than its stream's retention survived
     # the downtime.
-    stale = 0
     for sensor_type, retention in sorted(
         recovered.policy_manager.retention_by_sensor_type().items()
     ):
         cutoff = recover_now - retention
-        stale += sum(
+        report.outlived_retention += sum(
             1
             for obs in recovered.datastore.query(sensor_type=sensor_type)
             if obs.timestamp < cutoff
         )
-    report.retention_ok = stale == 0
-    if not report.retention_ok:
-        report.violations.append(
-            "%d observation(s) outlived their retention through recovery" % stale
-        )
+    report.retention_ok = report.outlived_retention == 0
     storage2.close()
+    report.check()

@@ -17,8 +17,8 @@ forgotten data, no matter where the crash landed.
 
 The :class:`RecoveryReport` is deliberately path- and id-free: every
 field is a count, an LSN, or a segment *name*, so two same-seed
-crash+recover runs render byte-identical reports (the chaos
-``--recover`` harness diffs them).
+crash+recover runs render byte-identical reports (the recover
+scenario's pinned runs are golden files).
 """
 
 from __future__ import annotations

@@ -387,3 +387,21 @@ class TestFederationDoc:
         assert "rebalance:" in makefile
         readme = (DOCS.parent.parent / "README.md").read_text()
         assert "python -m repro rebalance" in readme
+
+
+class TestScenariosTable:
+    """The README's Scenarios table must match the registry."""
+
+    def test_every_scenario_row_shows_its_real_defaults(self):
+        from repro.__main__ import SCENARIOS
+
+        readme = (DOCS.parent.parent / "README.md").read_text()
+        for name, scenario in SCENARIOS.items():
+            defaults = scenario.defaults()
+            row = "| `%s` | `%s` / %d / %d / %d |" % (
+                name, defaults["plan_name"], defaults["seed"],
+                defaults["population"], defaults["ticks"],
+            )
+            assert row in readme, row
+            assert "`python -m repro scenario %s` |" % name in readme
+            assert "%s:" % name in (DOCS.parent.parent / "Makefile").read_text()

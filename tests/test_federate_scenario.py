@@ -104,7 +104,3 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["plan"] == PLAN
-
-    def test_federate_rejects_unknown_plan(self, capsys):
-        assert main(["federate", "--plan", "no-such-plan"]) == 2
-        assert "error" in capsys.readouterr().err

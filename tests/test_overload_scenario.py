@@ -79,14 +79,6 @@ class TestCli:
         assert payload["plan"] == PLAN
         assert payload["ledger"]["checked"] > 0
 
-    def test_report_out_writes_the_exact_report(self, tmp_path, capsys, report):
-        path = tmp_path / "overload.txt"
-        assert main(
-            ["overload", "--seed", str(SEED), "--report-out", str(path)]
-        ) == 0
-        capsys.readouterr()
-        assert path.read_text() == report.report_text
-
     def test_unknown_plan_is_a_hard_error(self, capsys):
         assert main(["overload", "--plan", "no-such-plan"]) == 2
         assert "no-such-plan" in capsys.readouterr().err

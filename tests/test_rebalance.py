@@ -16,7 +16,12 @@ import pytest
 from repro.core.policy import catalog
 from repro.errors import FederationError, NetworkError, SimulatedCrash
 from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
-from repro.federation import Campus, RebalanceCoordinator
+from repro.federation import (
+    Campus,
+    RebalanceCoordinator,
+    campus_access_report,
+    campus_erase_subject,
+)
 from repro.net.resilience import BreakerBoard
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.inhabitants import generate_inhabitants
@@ -132,6 +137,35 @@ def test_preferences_travel_with_the_migration(tmp_path):
     assert outcome.preferences_moved >= 1
     dest = campus.shard(NEW)
     assert dest.tippers.preference_manager.preferences_of(migration.user_id)
+    campus.close()
+
+
+def test_dsar_after_migration_skips_the_tombstoned_source(tmp_path):
+    campus = _campus(tmp_path)
+    _populate(campus)
+    coordinator, migrations = _join_wave(campus)
+    migration = migrations[0]
+    user_id = migration.user_id
+    assert coordinator.migrate(migration).status == "completed"
+
+    # The source tombstone erased everything there, so the fan-out must
+    # not list it as an unreachable shard.
+    access = campus_access_report(campus, user_id, NOON + 60.0)
+    assert access.buildings == (NEW,)
+    assert access.unreachable == ()
+    assert access.observations_total > 0
+    receipt = campus_erase_subject(campus, user_id, NOON + 61.0)
+    assert receipt.unreachable == ()
+    assert receipt.erased_observations == access.observations_total
+
+    # A shard that really is down is still reported, never skipped.
+    campus.mark_down(NEW)
+    assert campus_access_report(campus, user_id, NOON + 62.0).unreachable == (
+        NEW,
+    )
+    assert campus_erase_subject(campus, user_id, NOON + 63.0).unreachable == (
+        NEW,
+    )
     campus.close()
 
 

@@ -4,8 +4,9 @@ The scenario's own machine-checked invariants are the primary gate
 (``report.ok``); the tests here additionally pin the *shape* of the run
 -- both fault windows fired exactly once, the journal-guided resumption
 actually took the committed path, every forwarded decision is marked
-and matched one-for-one by its audit record, and the byte-for-byte
-determinism the ``make rebalance`` diff relies on.
+and matched one-for-one by its audit record, and same-seed determinism.
+Exit codes, ``--report-out`` and the pinned report itself are covered
+for every scenario by ``tests/test_scenarios.py``.
 """
 
 import json
@@ -143,14 +144,3 @@ class TestCli:
         assert payload["ok"] is True
         assert payload["plan"] == PLAN
         assert payload["crash"]["recovered"] is True
-
-    def test_rebalance_report_out(self, tmp_path, capsys):
-        out_path = tmp_path / "rebalance.txt"
-        assert main(
-            ["rebalance", "--seed", str(SEED), "--report-out", str(out_path)]
-        ) == 0
-        assert out_path.read_text() == capsys.readouterr().out
-
-    def test_rebalance_rejects_unknown_plan(self, capsys):
-        assert main(["rebalance", "--plan", "no-such-plan"]) == 2
-        assert "error" in capsys.readouterr().err
