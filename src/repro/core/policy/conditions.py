@@ -13,7 +13,7 @@ All conditions are immutable and combinable with :class:`AllOf`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy.base import DataRequest, RequesterKind
@@ -46,6 +46,24 @@ class EvaluationContext:
     def day_index_of(self, timestamp: float) -> int:
         """Day number since the simulation epoch (day 0 = Monday)."""
         return int(timestamp // self.seconds_per_day)
+
+
+def space_matches(
+    space_ids: Collection[str], request: DataRequest, context: EvaluationContext
+) -> bool:
+    """Whether ``request``'s space lies in (or is) one of ``space_ids``.
+
+    One set test against the request space's stored path.  A request
+    with no space never matches; without a model, or for a space the
+    model does not know, only an exactly listed id matches.
+    """
+    space_id = request.space_id
+    if space_id is None:
+        return False
+    spatial = context.spatial
+    if spatial is None or space_id not in spatial:
+        return space_id in space_ids
+    return not spatial.path_ids(space_id).isdisjoint(space_ids)
 
 
 class Condition:
@@ -99,13 +117,7 @@ class SpatialCondition(Condition):
     def matches(self, request: DataRequest, context: EvaluationContext) -> bool:
         if request.space_id is None:
             return self.match_unlocated
-        if context.spatial is None or request.space_id not in context.spatial:
-            # Without a model (or for unknown spaces) fall back to
-            # exact-id matching so unit tests need not build a model.
-            return request.space_id == self.space_id
-        if self.space_id not in context.spatial:
-            return False
-        return context.spatial.contains(self.space_id, request.space_id)
+        return space_matches((self.space_id,), request, context)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import SpatialError
 from repro.spatial.geometry import Box, Point
+
+_T = TypeVar("_T")
 
 
 class SpaceType(enum.Enum):
@@ -36,15 +38,10 @@ class SpaceType(enum.Enum):
     @property
     def granularity_rank(self) -> int:
         """Coarseness rank: lower means coarser (campus=0 ... room=5)."""
-        order = [
-            SpaceType.CAMPUS,
-            SpaceType.BUILDING,
-            SpaceType.FLOOR,
-            SpaceType.ZONE,
-            SpaceType.CORRIDOR,
-            SpaceType.ROOM,
-        ]
-        return order.index(self)
+        return _GRANULARITY_RANK[self]
+
+
+_GRANULARITY_RANK: Dict[SpaceType, int] = {t: i for i, t in enumerate(SpaceType)}
 
 
 @dataclass
@@ -61,8 +58,10 @@ class Space:
         The :class:`SpaceType` of this node.
     footprint:
         Optional 2D footprint used by geometric operators.
-    parent_id:
-        Filled in by :meth:`SpatialModel.add_space`.
+    parent_id, child_ids:
+        Owned by :meth:`SpatialModel.add_space`, which also stores the
+        space's ancestor path; rewiring them afterwards leaves that path
+        stale, which :meth:`SpatialModel.validate` reports.
     """
 
     space_id: str
@@ -87,10 +86,17 @@ class Space:
 
 
 class SpatialModel:
-    """Registry and query engine over a building's spaces."""
+    """Registry and query engine over a building's spaces.
+
+    ``add_space`` only attaches new leaves, so each space's path (the
+    space, then its ancestors to the root) is stored once at insert and
+    every hierarchy query reads it instead of walking parent links.
+    """
 
     def __init__(self) -> None:
         self._spaces: Dict[str, Space] = {}
+        self._paths: Dict[str, Tuple[Space, ...]] = {}
+        self._path_ids: Dict[str, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -113,7 +119,12 @@ class SpatialModel:
                 )
             space.parent_id = parent_id
             parent.child_ids.append(space.space_id)
+            path = (space,) + self._paths[parent_id]
+        else:
+            path = (space,)
         self._spaces[space.space_id] = space
+        self._paths[space.space_id] = path
+        self._path_ids[space.space_id] = frozenset(s.space_id for s in path)
         return space
 
     def add(
@@ -139,10 +150,7 @@ class SpatialModel:
     # Lookup
     # ------------------------------------------------------------------
     def get(self, space_id: str) -> Space:
-        try:
-            return self._spaces[space_id]
-        except KeyError:
-            raise SpatialError("unknown space %r" % space_id) from None
+        return _known(self._spaces, space_id)
 
     def __contains__(self, space_id: str) -> bool:
         return space_id in self._spaces
@@ -173,12 +181,15 @@ class SpatialModel:
 
     def ancestors(self, space_id: str) -> List[Space]:
         """Ancestors from immediate parent up to the root."""
-        result: List[Space] = []
-        current = self.parent(space_id)
-        while current is not None:
-            result.append(current)
-            current = self.parent(current.space_id)
-        return result
+        return list(_known(self._paths, space_id)[1:])
+
+    def path_to_root(self, space_id: str) -> List[Space]:
+        """The space followed by its ancestors up to the root."""
+        return list(_known(self._paths, space_id))
+
+    def path_ids(self, space_id: str) -> FrozenSet[str]:
+        """Ids of the space and its ancestors: the spaces containing it."""
+        return _known(self._path_ids, space_id)
 
     def descendants(self, space_id: str) -> List[Space]:
         """All spaces strictly below ``space_id``, depth-first."""
@@ -201,10 +212,7 @@ class SpatialModel:
     # ------------------------------------------------------------------
     def contains(self, outer_id: str, inner_id: str) -> bool:
         """The paper's ``contained`` operator, reflexive on equal ids."""
-        if outer_id == inner_id:
-            self.get(outer_id)
-            return True
-        return any(a.space_id == outer_id for a in self.ancestors(inner_id))
+        return outer_id in _known(self._path_ids, inner_id)
 
     def neighboring(self, a_id: str, b_id: str) -> bool:
         """Whether two distinct spaces share a boundary.
@@ -243,12 +251,9 @@ class SpatialModel:
         :attr:`SpaceType.FLOOR` becomes the floor that contains it.
         Returns ``None`` when no ancestor of that type exists.
         """
-        space = self.get(space_id)
-        if space.space_type is level:
-            return space
-        for ancestor in self.ancestors(space_id):
-            if ancestor.space_type is level:
-                return ancestor
+        for space in _known(self._paths, space_id):
+            if space.space_type is level:
+                return space
         return None
 
     def locate_point(self, point: Point) -> Optional[Space]:
@@ -264,14 +269,10 @@ class SpatialModel:
                 best = space
         return best
 
-    def path_to_root(self, space_id: str) -> List[Space]:
-        """The space followed by its ancestors up to the root."""
-        return [self.get(space_id)] + self.ancestors(space_id)
-
     def common_ancestor(self, a_id: str, b_id: str) -> Optional[Space]:
         """Lowest common ancestor of two spaces, or ``None``."""
-        a_path = {s.space_id for s in self.path_to_root(a_id)}
-        for space in self.path_to_root(b_id):
+        a_path = self.path_ids(a_id)
+        for space in _known(self._paths, b_id):
             if space.space_id in a_path:
                 return space
         return None
@@ -280,8 +281,8 @@ class SpatialModel:
         """Check structural invariants; raises :class:`SpatialError`.
 
         Invariants: every parent/child link is symmetric, there are no
-        cycles, and child footprints lie within parent footprints when
-        both are present.
+        cycles, child footprints lie within parent footprints when both
+        are present, and each stored path still follows the parent links.
         """
         for space in self._spaces.values():
             if space.parent_id is not None:
@@ -305,13 +306,22 @@ class SpatialModel:
                         "child %r footprint escapes parent %r" % (child_id, space.space_id)
                     )
             # Cycle check: walking to the root must terminate.
-            seen = {space.space_id}
+            chain = [space.space_id]
             current = space.parent_id
             while current is not None:
-                if current in seen:
+                if current in chain:
                     raise SpatialError("cycle through %r" % current)
-                seen.add(current)
+                chain.append(current)
                 current = self.get(current).parent_id
+            if chain != [s.space_id for s in self._paths[space.space_id]]:
+                raise SpatialError("stale stored path for %r" % space.space_id)
+
+
+def _known(table: Dict[str, _T], space_id: str) -> _T:
+    try:
+        return table[space_id]
+    except KeyError:
+        raise SpatialError("unknown space %r" % space_id) from None
 
 
 def build_simple_building(

@@ -17,6 +17,8 @@ from repro.core.policy.conditions import (
     TemporalCondition,
 )
 from repro.core.policy.preference import UserPreference
+from repro.spatial.geometry import Box
+from repro.spatial.model import SpaceType, SpatialModel
 
 USERS = ["mary", "bob", "carol", "dan"]
 SPACES = ["b", "b-f1", "b-f2", "b-1001", "b-1002", "b-2001", "b-2002"]
@@ -114,3 +116,43 @@ preferences = st.builds(
     granularity_cap=granularities,
     strength=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
+
+
+@st.composite
+def spatial_forests(draw, max_spaces=12):
+    """A :class:`SpatialModel` grown through ``add_space`` in a random order.
+
+    Every space picks a random type and either starts a new root or
+    hangs under an earlier space no finer than itself, so the model has
+    several roots, same-type chains and parents added in any order.  Ids
+    are a random permutation so they say nothing about depth.  About
+    half the spaces carry a small footprint, clipped to the parent's so
+    the model passes :meth:`SpatialModel.validate`.
+    """
+    count = draw(st.integers(1, max_spaces))
+    names = draw(st.permutations(["s%02d" % i for i in range(count)]))
+    model = SpatialModel()
+    for space_id in names:
+        space_type = draw(st.sampled_from(list(SpaceType)))
+        legal = [
+            s.space_id
+            for s in model
+            if s.space_type.granularity_rank <= space_type.granularity_rank
+        ]
+        parent_id = draw(st.one_of(st.none(), st.sampled_from(legal))) if legal else None
+        footprint = draw(
+            st.one_of(
+                st.none(),
+                st.builds(
+                    lambda x, y, w, h: Box(x, y, x + w, y + h),
+                    st.integers(0, 20), st.integers(0, 20),
+                    st.integers(0, 8), st.integers(0, 8),
+                ),
+            )
+        )
+        if footprint is not None and parent_id is not None:
+            parent_box = model.get(parent_id).footprint
+            if parent_box is not None:
+                footprint = parent_box.intersection(footprint)
+        model.add(space_id, space_id, space_type, parent_id=parent_id, footprint=footprint)
+    return model

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SpatialError
 from repro.spatial.geometry import Box, Point
 from repro.spatial.model import SpaceType, build_simple_building
+from tests.property.strategies import spatial_forests
 
 boxes = st.builds(
     lambda x, y, w, h: Box(x, y, x + w, y + h),
@@ -127,3 +129,75 @@ class TestModelLaws:
         if floor_a != floor_b:
             assert not model.neighboring(a, b)
             assert not model.overlap(a, b)
+
+
+def reference_chain(model, space_id):
+    """``space_id`` then its ancestors, walked over raw ``parent_id`` links."""
+    parents = {s.space_id: s.parent_id for s in model}
+    if space_id not in parents:
+        raise SpatialError("unknown space %r" % space_id)
+    chain = [space_id]
+    while parents[chain[-1]] is not None:
+        chain.append(parents[chain[-1]])
+    return chain
+
+
+def ids(spaces):
+    return [s.space_id for s in spaces]
+
+
+class TestStoredPaths:
+    """The stored ancestor paths answer exactly as a walk over raw links."""
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_hierarchy_queries_match_reference_walk(self, data):
+        model = data.draw(spatial_forests())
+        model.validate()
+        all_ids = sorted(s.space_id for s in model)
+        a = data.draw(st.sampled_from(all_ids))
+        b = data.draw(st.sampled_from(all_ids))
+        level = data.draw(st.sampled_from(list(SpaceType)))
+        chain_a, chain_b = reference_chain(model, a), reference_chain(model, b)
+
+        assert model.contains(a, b) == (a in chain_b)
+        assert model.contains(b, a) == (b in chain_a)
+        assert model.path_ids(a) == frozenset(chain_a)
+        assert ids(model.path_to_root(a)) == chain_a
+        assert ids(model.ancestors(a)) == chain_a[1:]
+        assert isinstance(model.path_to_root(a), list)
+        assert isinstance(model.ancestors(a), list)
+
+        at_level = [i for i in chain_a if model.get(i).space_type is level]
+        found = model.ancestor_at_level(a, level)
+        assert (found.space_id if found else None) == (at_level[0] if at_level else None)
+
+        shared = [i for i in chain_b if i in chain_a]
+        common = model.common_ancestor(a, b)
+        assert (common.space_id if common else None) == (shared[0] if shared else None)
+
+        box_a, box_b = model.get(a).footprint, model.get(b).footprint
+        expected_overlap = (
+            a in chain_b
+            or b in chain_a
+            or (box_a is not None and box_b is not None and box_a.overlaps(box_b))
+        )
+        assert model.overlap(a, b) == expected_overlap
+
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_unknown_ids(self, data):
+        model = data.draw(spatial_forests())
+        known = data.draw(st.sampled_from(sorted(s.space_id for s in model)))
+        with pytest.raises(SpatialError):
+            model.contains("nowhere", "nowhere")
+        with pytest.raises(SpatialError):
+            model.contains(known, "nowhere")
+        assert model.contains("nowhere", known) is False
+        for query in (model.ancestors, model.path_to_root, model.path_ids):
+            with pytest.raises(SpatialError):
+                query("nowhere")
+        with pytest.raises(SpatialError):
+            model.ancestor_at_level("nowhere", SpaceType.ROOM)
+        with pytest.raises(SpatialError):
+            model.common_ancestor(known, "nowhere")

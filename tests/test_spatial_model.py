@@ -51,6 +51,12 @@ class TestConstruction:
         assert "missing" not in model
 
 
+def test_granularity_ranks_run_coarse_to_fine():
+    order = [SpaceType.CAMPUS, SpaceType.BUILDING, SpaceType.FLOOR,
+             SpaceType.ZONE, SpaceType.CORRIDOR, SpaceType.ROOM]
+    assert [t.granularity_rank for t in order] == list(range(6))
+
+
 class TestHierarchy:
     def test_parent_and_children(self, model):
         assert model.parent("r101").space_id == "f1"
@@ -142,6 +148,15 @@ class TestValidate:
     def test_asymmetric_link_detected(self, model):
         model.get("r101").parent_id = "r102"
         with pytest.raises(SpatialError):
+            model.validate()
+
+    def test_rewired_parent_leaves_stale_path_detected(self, model):
+        # Links stay symmetric, so only the stored-path check can object.
+        model.add("f2", "Floor 2", SpaceType.FLOOR, parent_id="bldg")
+        model.get("f1").child_ids.remove("r101")
+        model.get("f2").child_ids.append("r101")
+        model.get("r101").parent_id = "f2"
+        with pytest.raises(SpatialError, match="stale stored path for 'r101'"):
             model.validate()
 
     def test_escaping_footprint_detected(self, model):
