@@ -1,10 +1,11 @@
-# Common developer entry points.  Everything runs on the stdlib-only
-# package in src/; no install step is needed.
+# Common developer entry points.  Everything runs on the package in
+# src/ without an install step; its one runtime dependency, networkx
+# (declared in pyproject.toml), must be importable.
 
 PYTHON ?= python
 PYTEST  = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast diff-test bench-smoke bench soak lint lint-flow obs chaos recover overload federate rebalance
+.PHONY: test test-fast diff-test bench-smoke perfbench-smoke bench soak lint lint-flow obs chaos recover overload federate rebalance
 
 # Full tier-1 suite: unit + integration + property tests.
 test:
@@ -29,6 +30,18 @@ bench-smoke:
 	          benchmarks/test_scale_enforcement.py \
 	          benchmarks/test_ablation_cache.py \
 	          --benchmark-disable -q -s
+
+# Sanity-pass the repo benchmark (perfbench/run.py): one short traced
+# run per workload.  The benchmark exits 1 on a wrong answer or on a
+# layer whose wrapped function no longer resolves, so a rename that
+# would break the benchmark fails here first.
+PERFBENCH_WORKLOADS = ingest query campus
+
+perfbench-smoke:
+	for workload in $(PERFBENCH_WORKLOADS); do \
+	    $(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 2 --trace 1 \
+	        > /dev/null || exit 1; \
+	done
 
 # Perf trajectory: the bench test suite, then a fresh ci-scale run
 # written to BENCH_PR.json (the CI artifact; never a baseline) and

@@ -165,7 +165,7 @@ DEFAULT_MODEL = FlowModel(
         "repro.tippers.datastore.Datastore.query",
         # Torn-tail diagnostics callback: carries segment offsets, not
         # observation payloads; reviewed 2026-08.
-        "repro.tippers.persistence._report_torn_tail",
+        "repro.storage.snapshot._report_torn_tail",
     ),
     topic_hints={
         # scenario wiring registers endpoints via factory returns the

@@ -8,10 +8,11 @@ transparency half of the paper's accountability story.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DataRequest, DecisionPhase, Effect
+from repro.errors import StorageError
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 
@@ -40,6 +41,39 @@ class AuditRecord(NamedTuple):
     @property
     def allowed(self) -> bool:
         return self.effect is Effect.ALLOW
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "timestamp": self.timestamp,
+            "requester_id": self.requester_id,
+            "phase": self.phase.value,
+            "category": self.category,
+            "subject_id": self.subject_id,
+            "space_id": self.space_id,
+            "effect": self.effect.value,
+            "granularity": self.granularity.value,
+            "reasons": list(self.reasons),
+            "notify_user": self.notify_user,
+        }
+
+    @staticmethod
+    def from_dict(data: Dict[str, Any]) -> "AuditRecord":
+        """Inverse of :meth:`to_dict`; raises :class:`StorageError`."""
+        try:
+            return AuditRecord(
+                timestamp=data["timestamp"],
+                requester_id=data["requester_id"],
+                phase=DecisionPhase(data["phase"]),
+                category=data["category"],
+                subject_id=data.get("subject_id"),
+                space_id=data.get("space_id"),
+                effect=Effect(data["effect"]),
+                granularity=GranularityLevel(data["granularity"]),
+                reasons=tuple(data.get("reasons", ())),
+                notify_user=data.get("notify_user", False),
+            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise StorageError("malformed audit record: %s" % exc) from None
 
 
 class AuditLog:

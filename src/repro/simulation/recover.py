@@ -245,8 +245,6 @@ def _run_phases(
     # ------------------------------------------------------------------
     # Phase 2: a fresh process over the same directory
     # ------------------------------------------------------------------
-    from repro.tippers.persistence import audit_record_to_dict
-
     metrics2 = MetricsRegistry()
     storage2 = StorageEngine(directory, segment_bytes=segment_bytes, metrics=metrics2)
     recovered, _ = compact_building(
@@ -259,7 +257,7 @@ def _run_phases(
     # Invariant 1: recovered audit is an exact prefix of what was
     # submitted (same records, same order, nothing extra or rewritten).
     recovered_lines = [
-        _canonical(audit_record_to_dict(record)) for record in recovered.audit
+        _canonical(record.to_dict()) for record in recovered.audit
     ]
     report.recovered_audit = len(recovered_lines)
     report.audit_prefix_ok = (

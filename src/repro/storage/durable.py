@@ -37,7 +37,6 @@ from repro.sensors.base import Observation
 from repro.storage import records
 from repro.storage.wal import DEFAULT_SEGMENT_BYTES, WalPlane, WriteAheadLog
 from repro.tippers.datastore import Datastore
-from repro.tippers.persistence import audit_record_to_dict
 
 #: Observed by the chaos harness: called with ``(record_type, data)``
 #: for every record submitted for logging, *before* the WAL write (so a
@@ -102,7 +101,7 @@ class StorageEngine:
         return self.log(records.ERASE, {"subject_id": subject_id})
 
     def log_audit(self, record: AuditRecord) -> Optional[int]:
-        return self.log(records.AUDIT, audit_record_to_dict(record))
+        return self.log(records.AUDIT, record.to_dict())
 
     def log_preference(self, preference: UserPreference) -> Optional[int]:
         return self.log(records.PREF, preference_to_dict(preference))

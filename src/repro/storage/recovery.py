@@ -27,18 +27,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.enforcement.audit import AuditLog
+from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.errors import StorageError
+from repro.sensors.base import Observation
 from repro.storage import records
-from repro.storage.snapshot import read_manifest, snapshot_paths
+from repro.storage.snapshot import read_jsonl, read_manifest, snapshot_paths
 from repro.storage.wal import list_segments, scan_segment
 from repro.tippers.datastore import Datastore
-from repro.tippers.persistence import (
-    audit_record_from_dict,
-    load_audit,
-    load_datastore,
-    observation_from_dict,
-)
 
 
 @dataclass
@@ -162,13 +157,15 @@ def replay_directory(
     report.last_lsn = manifest.snapshot_lsn
     paths = snapshot_paths(directory, manifest.snapshot_lsn)
     if os.path.exists(paths["obs"]):
-        load_datastore(paths["obs"], into=datastore, on_torn_tail=torn_tail)
+        for observation in read_jsonl(paths["obs"], "obs", torn_tail):
+            # Base-class call: loading into a durable datastore must
+            # not write-ahead-log what is already durable.
+            Datastore.insert(datastore, observation)
     if os.path.exists(paths["audit"]):
-        load_audit(paths["audit"], into=audit, on_torn_tail=torn_tail)
+        for record in read_jsonl(paths["audit"], "audit", torn_tail):
+            AuditLog.append(audit, record)
     if os.path.exists(paths["prefs"]):
-        from repro.storage.snapshot import load_preferences
-
-        for data in load_preferences(paths["prefs"]):
+        for data in read_jsonl(paths["prefs"], "prefs", torn_tail):
             key = (data.get("user_id"), data.get("preference_id"))
             preferences[key] = data
 
@@ -224,7 +221,7 @@ def _apply_frame(
         report.records_replayed.get(record_type, 0) + 1
     )
     if record_type == records.OBS:
-        datastore._apply_insert(observation_from_dict(data))
+        datastore._apply_insert(Observation.from_dict(data))
     elif record_type == records.ERASE:
         subject_id = data.get("subject_id")
         if not isinstance(subject_id, str):
@@ -242,7 +239,7 @@ def _apply_frame(
                 snapshot["observations"] = []
                 entry["snapshot_erased"] = True
     elif record_type == records.AUDIT:
-        AuditLog.append(audit, audit_record_from_dict(data))
+        AuditLog.append(audit, AuditRecord.from_dict(data))
     elif record_type == records.PREF:
         key = (data.get("user_id"), data.get("preference_id"))
         preferences[key] = data

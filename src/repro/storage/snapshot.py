@@ -22,6 +22,17 @@ disk: not in the snapshot (it was folded out) and not in the segments
 Retention interaction: when given the building's retention map and the
 current time, compaction sweeps expired observations out of the new
 snapshot as well.
+
+All three snapshot files share one codec: :func:`write_jsonl` writes
+one compact JSON object per line to a temp file and renames it into
+place; :func:`read_jsonl` streams the lines back through each record
+type's ``from_dict``.  A crash while a line was being written can leave
+a partial *final* record: the reader skips it, reports it through the
+optional ``on_torn_tail`` callback and counts it in the
+``persistence_torn_tail_total`` metric -- the WAL's torn-tail semantics
+(see :mod:`repro.storage.wal`).  A malformed line *followed by* further
+data is real corruption, not a tear, and raises
+:class:`~repro.errors.StorageError` naming the line.
 """
 
 from __future__ import annotations
@@ -29,9 +40,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
+from repro.core.enforcement.audit import AuditRecord
 from repro.errors import StorageError
+from repro.obs.metrics import get_registry
+from repro.sensors.base import Observation
 
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = 1
@@ -39,6 +53,10 @@ MANIFEST_FORMAT = 1
 OBS_SNAPSHOT_PATTERN = "snapshot-%016d.obs.jsonl"
 AUDIT_SNAPSHOT_PATTERN = "snapshot-%016d.audit.jsonl"
 PREFS_SNAPSHOT_PATTERN = "snapshot-%016d.prefs.jsonl"
+
+#: Called with a human-readable message when :func:`read_jsonl` skips a
+#: torn final record instead of raising.
+TornTailCallback = Callable[[str], None]
 
 
 @dataclass(frozen=True)
@@ -97,39 +115,90 @@ def snapshot_paths(directory: str, snapshot_lsn: int) -> Dict[str, str]:
     }
 
 
-def save_preferences(preferences: List[Dict[str, Any]], path: str) -> int:
-    """Snapshot preference dicts (one JSON object per line), atomically."""
+def write_jsonl(
+    path: str, records: Iterable[Dict[str, Any]], sort_keys: bool = False
+) -> int:
+    """Write one compact JSON object per line, atomically; returns count.
+
+    The lines go to a temp file that is then renamed over ``path``, so
+    a crash mid-write never corrupts an existing snapshot.
+    """
     temp_path = path + ".tmp"
     count = 0
     with open(temp_path, "w") as handle:
-        for data in preferences:
-            handle.write(json.dumps(data, separators=(",", ":"), sort_keys=True))
+        for data in records:
+            handle.write(
+                json.dumps(
+                    data, separators=(",", ":"), sort_keys=sort_keys, allow_nan=False
+                )
+            )
             handle.write("\n")
             count += 1
     os.replace(temp_path, path)
     return count
 
 
-def load_preferences(path: str) -> List[Dict[str, Any]]:
-    """Load a preference snapshot (torn final line tolerated)."""
-    from repro.tippers.persistence import _iter_data_lines, _report_torn_tail
+#: Snapshot kind (the :func:`snapshot_paths` key) -> the record name
+#: used in error messages.
+_RECORD_NAMES = {"obs": "observation", "audit": "audit", "prefs": "preference"}
 
-    preferences: List[Dict[str, Any]] = []
-    for line_no, line, is_final in _iter_data_lines(path):
-        try:
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                raise StorageError("preference line is not an object")
-        except (json.JSONDecodeError, StorageError) as exc:
-            wrapped = exc if isinstance(exc, StorageError) else StorageError(str(exc))
-            if is_final:
-                _report_torn_tail(path, line_no, wrapped, None)
-                break
-            raise StorageError(
-                "%s (line %d of %s)" % (wrapped, line_no, path)
-            ) from None
-        preferences.append(data)
-    return preferences
+
+def _decode_line(text: str, kind: str) -> Any:
+    """One snapshot line as its record: observation, audit, or pref dict."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StorageError(
+            "malformed %s line: %s" % (_RECORD_NAMES[kind], exc)
+        ) from None
+    if not isinstance(data, dict):
+        raise StorageError("malformed %s line: not an object" % _RECORD_NAMES[kind])
+    if kind == "obs":
+        return Observation.from_dict(data)
+    if kind == "audit":
+        return AuditRecord.from_dict(data)
+    return data
+
+
+def _report_torn_tail(
+    path: str, line_no: int, error: StorageError,
+    on_torn_tail: Optional[TornTailCallback],
+) -> None:
+    get_registry().counter("persistence_torn_tail_total").inc()
+    if on_torn_tail is not None:
+        on_torn_tail(
+            "torn final record skipped (line %d of %s): %s" % (line_no, path, error)
+        )
+
+
+def read_jsonl(
+    path: str, kind: str, on_torn_tail: Optional[TornTailCallback] = None
+) -> Iterator[Any]:
+    """Stream the records of one snapshot file of ``kind``.
+
+    ``kind`` is ``"obs"`` (yields :class:`Observation`), ``"audit"``
+    (:class:`AuditRecord`) or ``"prefs"`` (preference dicts).  A line
+    that does not decode is held back: if it turns out to be the final
+    record it is a torn tail (reported, not raised); if more data
+    follows, the held error is raised with its line number.
+    """
+    held: Optional[StorageError] = None
+    held_line = 0
+    with open(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            if held is not None:
+                raise StorageError("%s (line %d of %s)" % (held, held_line, path))
+            try:
+                record = _decode_line(text, kind)
+            except StorageError as exc:
+                held, held_line = exc, line_no
+                continue
+            yield record
+    if held is not None:
+        _report_torn_tail(path, held_line, held, on_torn_tail)
 
 
 @dataclass
@@ -191,7 +260,6 @@ def compact_engine(
     post-compaction log starts empty.
     """
     from repro.storage.recovery import replay_directory
-    from repro.tippers.persistence import save_audit, save_datastore
 
     directory = engine.directory
     engine.wal.rotate()
@@ -207,10 +275,17 @@ def compact_engine(
     new_lsn = max(state.report.last_lsn, state.report.snapshot_lsn)
     paths = snapshot_paths(directory, new_lsn)
     report.snapshot_lsn = new_lsn
-    report.observations_snapshotted = save_datastore(state.datastore, paths["obs"])
-    report.audit_snapshotted = save_audit(state.audit, paths["audit"])
-    report.preferences_snapshotted = save_preferences(
-        state.preferences, paths["prefs"]
+    datastore = state.datastore
+    report.observations_snapshotted = write_jsonl(paths["obs"], (
+        observation.to_dict()
+        for sensor_type in datastore.stream_names()
+        for observation in datastore.query(sensor_type=sensor_type)
+    ))
+    report.audit_snapshotted = write_jsonl(
+        paths["audit"], (record.to_dict() for record in state.audit)
+    )
+    report.preferences_snapshotted = write_jsonl(
+        paths["prefs"], state.preferences, sort_keys=True
     )
     write_manifest(directory, Manifest(snapshot_lsn=new_lsn))
 

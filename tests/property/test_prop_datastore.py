@@ -1,12 +1,14 @@
 """Property tests: datastore consistency and snapshot round-trips."""
 
 import json
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sensors.base import Observation
+from repro.storage.snapshot import read_jsonl, write_jsonl
 from repro.tippers.datastore import Datastore
-from repro.tippers.persistence import observation_from_json, observation_to_json
 
 observations = st.builds(
     Observation.create,
@@ -83,8 +85,12 @@ def test_sweep_removes_exactly_the_expired(batch, retention, now):
 @settings(max_examples=150, deadline=None)
 @given(observation=observations)
 def test_snapshot_line_round_trip(observation):
-    line = observation_to_json(observation)
-    restored = observation_from_json(line)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "obs.jsonl")
+        write_jsonl(path, [observation.to_dict()])
+        with open(path) as handle:
+            line = handle.read()
+        (restored,) = read_jsonl(path, "obs")
     assert restored.to_dict() == observation.to_dict()
     # Lines are self-contained JSON objects.
     assert isinstance(json.loads(line), dict)

@@ -1,4 +1,4 @@
-"""Unit tests for snapshot persistence."""
+"""Unit tests for the JSON-lines snapshot codec on observations and audit."""
 
 import pytest
 
@@ -7,13 +7,8 @@ from repro.core.language.vocabulary import GranularityLevel
 from repro.core.policy.base import DecisionPhase, Effect
 from repro.errors import StorageError
 from repro.sensors.base import Observation
+from repro.storage.snapshot import read_jsonl, write_jsonl
 from repro.tippers.datastore import Datastore
-from repro.tippers.persistence import (
-    load_audit,
-    load_datastore,
-    save_audit,
-    save_datastore,
-)
 
 
 def obs(timestamp, sensor_type="wifi_access_point", subject=None, granularity="precise"):
@@ -25,6 +20,29 @@ def obs(timestamp, sensor_type="wifi_access_point", subject=None, granularity="p
         payload={"device_mac": "aa:bb", "rssi": -40.0, "nested": {"k": [1, 2]}},
         subject_id=subject,
     ).with_payload({"device_mac": "aa:bb", "rssi": -40.0, "nested": {"k": [1, 2]}}, granularity)
+
+
+# Snapshot and restore a whole store or log through the shared codec,
+# as compaction and recovery do.
+def save_datastore(datastore, path):
+    return write_jsonl(path, (o.to_dict() for o in datastore.query()))
+
+
+def load_datastore(path, into=None, on_torn_tail=None):
+    datastore = into if into is not None else Datastore()
+    datastore.insert_many(read_jsonl(path, "obs", on_torn_tail))
+    return datastore
+
+
+def save_audit(log, path):
+    return write_jsonl(path, (record.to_dict() for record in log))
+
+
+def load_audit(path, on_torn_tail=None):
+    log = AuditLog()
+    for record in read_jsonl(path, "audit", on_torn_tail):
+        log.append(record)
+    return log
 
 
 @pytest.fixture

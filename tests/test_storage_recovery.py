@@ -7,8 +7,10 @@ from repro.errors import PolicyError, SimulatedCrash, StorageError
 from repro.sensors.base import Observation
 from repro.simulation.recover import run_recovery_scenario
 from repro.spatial.model import build_simple_building
+from repro.storage import records
 from repro.storage.durable import DurableAuditLog, DurableDatastore, StorageEngine
 from repro.storage.recovery import is_storage_directory, recover, replay_directory
+from repro.storage.snapshot import snapshot_paths
 from repro.tippers.bms import TIPPERS
 from repro.users.profile import UserProfile
 
@@ -58,6 +60,26 @@ class TestReplayDirectory:
         state = replay_directory(str(tmp_path))
         assert state.report.torn
         assert state.datastore.count() == 1  # the torn record never happened
+
+    def test_torn_prefs_snapshot_tail_is_counted(self, tmp_path):
+        # All three snapshot files share one reader, so a torn final
+        # preference line counts like a torn observation or audit line.
+        engine = StorageEngine(str(tmp_path))
+        for index in range(3):
+            engine.log(
+                records.PREF, {"user_id": "mary", "preference_id": "p%d" % index}
+            )
+        snapshot_lsn = engine.compact().snapshot_lsn
+        engine.close()
+        path = snapshot_paths(str(tmp_path), snapshot_lsn)["prefs"]
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(text[:-5])  # crash mid-way through the last line
+
+        state = replay_directory(str(tmp_path))
+        assert state.report.preferences_restored == 2
+        assert state.report.snapshot_torn_tails == 1
 
     def test_report_is_deterministic(self, tmp_path):
         engine = StorageEngine(str(tmp_path))

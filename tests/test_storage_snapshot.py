@@ -10,11 +10,11 @@ from repro.sensors.base import Observation
 from repro.storage.durable import DurableAuditLog, DurableDatastore, StorageEngine
 from repro.storage.snapshot import (
     Manifest,
-    load_preferences,
     manifest_path,
+    read_jsonl,
     read_manifest,
-    save_preferences,
     snapshot_paths,
+    write_jsonl,
     write_manifest,
 )
 from repro.storage.wal import list_segments
@@ -60,15 +60,15 @@ class TestPreferenceSnapshots:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "prefs.jsonl")
         prefs = [{"user_id": "mary", "preference_id": "p1", "effect": "deny"}]
-        assert save_preferences(prefs, path) == 1
-        assert load_preferences(path) == prefs
+        assert write_jsonl(path, prefs, sort_keys=True) == 1
+        assert list(read_jsonl(path, "prefs")) == prefs
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = str(tmp_path / "prefs.jsonl")
-        save_preferences([{"user_id": "mary", "preference_id": "p1"}], path)
+        write_jsonl(path, [{"user_id": "mary", "preference_id": "p1"}], sort_keys=True)
         with open(path, "a") as handle:
             handle.write('{"user_id": "bo')
-        assert len(load_preferences(path)) == 1
+        assert len(list(read_jsonl(path, "prefs"))) == 1
 
 
 class TestCompaction:
