@@ -15,11 +15,13 @@ test:
 test-fast:
 	$(PYTEST) -x -q -m "not slow"
 
-# Differential proof of the compiled enforcement tables and of
-# stored-path space-selector matching: the ci Hypothesis profile
-# generates 250 examples per property (>= 1000 decisions checked
-# against the reference interpreter, and selectors against the
-# per-space contains loop, per run).
+# Differential proof of the compiled enforcement tables, including
+# policy-fetch outage equivalence (warm rows fail closed at the same
+# injector steps as the interpreter), and of stored-path space-selector
+# matching: the ci Hypothesis profile generates 250 examples per
+# property (>= 1000 decisions checked against the reference
+# interpreter, and selectors against the per-space contains loop, per
+# run).
 diff-test:
 	REPRO_DIFF_PROFILE=diff-ci $(PYTEST) tests/differential -q
 

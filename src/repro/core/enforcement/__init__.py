@@ -21,7 +21,7 @@ user data".
 """
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
-from repro.core.enforcement.cache import CachingEnforcementEngine, time_stable
+from repro.core.enforcement.cache import CachingEnforcementEngine
 from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.enforcement.mechanisms import (
@@ -38,7 +38,6 @@ __all__ = [
     "CachingEnforcementEngine",
     "CompiledEnforcementEngine",
     "Decision",
-    "time_stable",
     "export_table",
     "import_table",
     "AuditLog",

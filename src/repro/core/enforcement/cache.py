@@ -6,8 +6,8 @@ for the same user's location with the same purpose, tick after tick.
 request field except the timestamp, and remains *exact*:
 
 - an entry is only written when no candidate rule for the request has a
-  time-sensitive condition (so the timestamp provably cannot change the
-  outcome), and
+  time-sensitive condition (``MatchResult.time_stable``: the timestamp
+  provably cannot change the outcome), and
 - the whole cache is invalidated whenever the rule store's version
   changes (a submitted preference takes effect immediately).
 
@@ -23,30 +23,8 @@ from typing import Hashable, Tuple
 
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.policy.base import DataRequest
-from repro.core.reasoner.index import RuleStore
 from repro.core.reasoner.resolution import Resolution, resolve
 from repro.errors import ReproError
-
-
-def time_stable(store: RuleStore, request: DataRequest) -> bool:
-    """True when no candidate rule's outcome depends on the timestamp.
-
-    The exactness condition shared by the decision cache and the
-    compiled table: a memoized resolution may only be reused when every
-    candidate rule for the request is time-insensitive, so the
-    timestamp provably cannot change the outcome.  A faulted re-fetch
-    cannot prove safety; it reads as unstable rather than propagating.
-    """
-    try:
-        for policy in store.candidate_policies(request):
-            if policy.condition.time_sensitive:
-                return False
-        for preference in store.candidate_preferences(request):
-            if preference.condition.time_sensitive:
-                return False
-    except ReproError:
-        return False
-    return True
 
 
 class CachingEnforcementEngine(EnforcementEngine):
@@ -95,10 +73,6 @@ class CachingEnforcementEngine(EnforcementEngine):
             request.sensor_type,
         )
 
-    def _cacheable(self, request: DataRequest) -> bool:
-        """True when no candidate rule's outcome depends on time."""
-        return time_stable(self.store, request)
-
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
@@ -112,9 +86,17 @@ class CachingEnforcementEngine(EnforcementEngine):
         if notes:
             return super().decide(request, notes)
         start = time.perf_counter()
-        if self.store.version != self._cached_version:
+        store = self.store
+        # The fault planes are consulted before the cache probe, so a
+        # policy-fetch outage fails cached entries closed too.
+        if store.fault_planes:
+            try:
+                store.check_fetch()
+            except ReproError as exc:
+                return self._fail_closed(request, exc, start)
+        if store.version != self._cached_version:
             self._cache.clear()
-            self._cached_version = self.store.version
+            self._cached_version = store.version
             self._m_invalidations.inc()
             self._m_size.set(0)
 
@@ -138,7 +120,7 @@ class CachingEnforcementEngine(EnforcementEngine):
             return self._fail_closed(request, exc, start)
         resolution = resolve(match, self.strategy)
         self._record(request, resolution)
-        if self._cacheable(request):
+        if match.time_stable:
             self.misses += 1
             self._m_misses.inc()
             self._cache[key] = resolution

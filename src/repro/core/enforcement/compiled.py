@@ -54,14 +54,17 @@ Equivalence
 -----------
 
 A row is compiled only when no candidate rule for the request is
-time-sensitive -- the same exactness proof as the decision cache
-(:func:`~repro.core.enforcement.cache.time_stable`) -- so a served row
+time-sensitive (:attr:`~repro.core.reasoner.matcher.MatchResult.time_stable`,
+judged on the candidates the miss already fetched) -- so a served row
 is bit-for-bit what the reference interpreter would have produced:
 same effect, granularity, reasons ordering, notify flag, and audit
 record.  Brownout-noted decisions bypass the table in both directions,
-and fail-closed denials are never compiled.  ``tests/differential``
-holds the harness that proves this against the reference engine as
-oracle.
+and fail-closed denials are never compiled.  The rule store's fault
+planes are consulted once per decide *before* the row probe, exactly
+where the interpreter consults them before matching, so a policy-fetch
+outage fails a warm row closed too: there is no deliberate exception.
+``tests/differential`` holds the harness that proves all of this
+against the reference engine as oracle, outages included.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ from operator import attrgetter
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
-from repro.core.enforcement.cache import time_stable
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.policy.base import DataRequest
 from repro.core.reasoner.resolution import resolve
@@ -210,6 +212,14 @@ class CompiledEnforcementEngine(EnforcementEngine):
             return super().decide(request, notes)
         start = _perf_counter()
         store = self.store
+        # Outside fault scenarios this is one truth test of an empty
+        # tuple; inside, a faulted fetch fails closed before any row
+        # can serve, at the same plane step as the interpreter.
+        if store.fault_planes:
+            try:
+                store.check_fetch()
+            except ReproError as exc:
+                return self._fail_closed(request, exc, start)
         # One integer compare guards the whole table: ``store.version``
         # moves on every rule mutation, and ``_reconcile`` re-checks
         # the fine-grained counters only then.  The invariant between
@@ -267,7 +277,7 @@ class CompiledEnforcementEngine(EnforcementEngine):
             return self._fail_closed(request, exc, start)
         resolution = resolve(match, self.strategy)
         self._record(request, resolution)
-        if time_stable(store, request):
+        if match.time_stable:
             self.misses += 1
             self._m_misses.inc()
             subject = request.subject_id

@@ -159,7 +159,9 @@ class EnforcementEngine:
         unreachable or faulted), the engine *fails closed*: the request
         is denied, the denial is audited, and
         ``enforcement_failclosed_total`` is incremented.  An outage must
-        never widen access.
+        never widen access.  The store's fault planes are consulted
+        exactly once per decide, first -- the compiled and caching
+        engines do the same before probing their rows.
 
         ``notes`` are appended to the resolution's reasons and hence to
         the audit record -- the overload layer uses them to mark every
@@ -168,7 +170,10 @@ class EnforcementEngine:
         trail.
         """
         start = time.perf_counter()
+        store = self.store
         try:
+            if store.fault_planes:
+                store.check_fetch()
             match = self._matcher.match(request)
         except ReproError as exc:
             return self._fail_closed(request, exc, start, notes)

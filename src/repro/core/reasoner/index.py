@@ -14,12 +14,19 @@ and is verified (by property tests) to return decisions identical to
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.language.vocabulary import DataCategory
 from repro.core.policy.base import DataRequest, DecisionPhase
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.preference import UserPreference
+from repro.errors import StorageError
+
+#: A policy-fetch interception point: called once per enforcement
+#: decision, before any candidate lookup, compiled-row or cache probe;
+#: returning a message fails that decision's fetch with
+#: :class:`~repro.errors.StorageError` carrying it.
+FetchPlane = Callable[[], Optional[str]]
 
 
 class RuleStore:
@@ -39,6 +46,29 @@ class RuleStore:
     #: counter against this map so a preference change evicts exactly
     #: the affected user's shard -- never the whole table.
     preference_versions: Dict[str, int]
+
+    #: Installed fetch planes (see :data:`FetchPlane`).  Empty on the
+    #: class, so an unfaulted store costs each decision one truth test.
+    fault_planes: Tuple[FetchPlane, ...] = ()
+
+    def install_fault_plane(self, plane: FetchPlane) -> None:
+        """Attach a policy-fetch fault plane (see :data:`FetchPlane`)."""
+        self.fault_planes = self.fault_planes + (plane,)
+
+    def remove_fault_plane(self, plane: FetchPlane) -> None:
+        self.fault_planes = tuple(p for p in self.fault_planes if p != plane)
+
+    def check_fetch(self) -> None:
+        """Fail this decision's policy fetch if any installed plane says so.
+
+        Enforcement engines call this once per decision, ahead of every
+        lookup, so an interpreter, a compiled table and a decision cache
+        all fail closed at the same plane step.
+        """
+        for plane in self.fault_planes:
+            failure = plane()
+            if failure:
+                raise StorageError(failure)
 
     def add_policy(self, policy: BuildingPolicy) -> None:
         raise NotImplementedError

@@ -19,6 +19,11 @@ class MatchResult:
     request: DataRequest
     policies: List[BuildingPolicy] = field(default_factory=list)
     preferences: List[UserPreference] = field(default_factory=list)
+    #: True when no *candidate* rule (matching or not) has a
+    #: time-sensitive condition, so the timestamp provably cannot change
+    #: the outcome: the exactness condition for reusing a resolution
+    #: (compiled rows, the decision cache).
+    time_stable: bool = True
 
     @property
     def allowing_policies(self) -> List[BuildingPolicy]:
@@ -70,18 +75,24 @@ class PolicyMatcher:
         """All policies and preferences governing ``request``.
 
         Results are ordered deterministically: policies by descending
-        priority then id; preferences by id.
+        priority then id; preferences by id.  Each candidate set is
+        fetched once; ``time_stable`` is judged on those same candidates.
         """
-        policies = [
-            p
-            for p in self.store.candidate_policies(request)
-            if p.applies_to(request, self.context)
-        ]
+        context = self.context
+        candidate_policies = self.store.candidate_policies(request)
+        candidate_preferences = self.store.candidate_preferences(request)
+        policies = [p for p in candidate_policies if p.applies_to(request, context)]
         policies.sort(key=lambda p: (-p.priority, p.policy_id))
         preferences = [
-            p
-            for p in self.store.candidate_preferences(request)
-            if p.applies_to(request, self.context)
+            p for p in candidate_preferences if p.applies_to(request, context)
         ]
         preferences.sort(key=lambda p: p.preference_id)
-        return MatchResult(request=request, policies=policies, preferences=preferences)
+        time_stable = not any(
+            p.condition.time_sensitive for p in candidate_policies
+        ) and not any(p.condition.time_sensitive for p in candidate_preferences)
+        return MatchResult(
+            request=request,
+            policies=policies,
+            preferences=preferences,
+            time_stable=time_stable,
+        )

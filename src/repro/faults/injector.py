@@ -9,19 +9,17 @@ bus message goes through the same counters as organic loss, a failed
 write raises the same :class:`~repro.errors.StorageError` a real
 backend would.
 
-Call sites never change: components expose ``install_fault_plane`` /
-``remove_fault_plane`` hooks and the injector plugs into them.  The
-only wrap-style hook is the policy store's ``candidate_policies``,
-replaced by an instance attribute so the enforcement engine's
-fail-closed path can be exercised without the core layer knowing about
-faults.
+Call sites never change: every component -- bus, datastore, sensor
+subsystems, policy store, WAL, admission controller, rebalancer --
+exposes ``install_fault_plane`` / ``remove_fault_plane`` hooks and the
+injector plugs into them.  No method is wrapped or shadowed.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from repro.errors import FaultError, StorageError
+from repro.errors import FaultError
 from repro.faults.plan import (
     ADMISSION_KINDS,
     BUS_KINDS,
@@ -48,7 +46,7 @@ class FaultInjector:
         self._buses: List[MessageBus] = []
         self._datastores: List[Any] = []
         self._subsystems: List[Any] = []
-        self._policy_stores: List[Tuple[Any, Any]] = []
+        self._policy_stores: List[Any] = []
         self._storage_engines: List[Any] = []
         self._admission_controllers: List[Any] = []
         self._rebalancers: List[Any] = []
@@ -154,6 +152,23 @@ class FaultInjector:
             )
         return tuple(spec.kind.value for spec in fired)
 
+    def _policy_plane(self) -> Optional[str]:
+        """Policy plane: one step per enforcement decision.
+
+        Returning a message makes the rule store fail the decision's
+        policy fetch with :class:`~repro.errors.StorageError` -- exactly
+        what every enforcement engine's fail-closed path must absorb.
+        """
+        step = self._advance()
+        fired = self.plan.matching(step, POLICY_KINDS, ("policy_store",))
+        if not fired:
+            return None
+        self.trace.record(step, "policy", fired[0].kind, "policy_store")
+        return "injected policy fetch failure (plan %r, step %d)" % (
+            self.plan.name,
+            step,
+        )
+
     def _sensor_plane(self, sensor: Any) -> bool:
         """Sensing plane: one step per sensor sample; True stalls it."""
         step = self._advance()
@@ -204,41 +219,20 @@ class FaultInjector:
         self._rebalancers.append(coordinator)
 
     def install_policy_store(self, store: Any) -> None:
-        """Make the store's policy fetches fault per the plan.
-
-        ``candidate_policies`` is shadowed with an instance attribute
-        that raises :class:`~repro.errors.StorageError` when a
-        POLICY_FETCH_FAIL spec fires -- exactly what the enforcement
-        engine's fail-closed path must absorb.
-        """
-        original = store.candidate_policies
-
-        def faulted_candidate_policies(request: Any) -> Any:
-            step = self._advance()
-            fired = self.plan.matching(step, POLICY_KINDS, ("policy_store",))
-            if fired:
-                self.trace.record(
-                    step, "policy", fired[0].kind, "policy_store"
-                )
-                raise StorageError(
-                    "injected policy fetch failure (plan %r, step %d)"
-                    % (self.plan.name, step)
-                )
-            return original(request)
-
-        store.candidate_policies = faulted_candidate_policies
-        self._policy_stores.append((store, original))
+        """Make the store's policy fetches fault per the plan."""
+        store.install_fault_plane(self._policy_plane)
+        self._policy_stores.append(store)
 
     def uninstall(self) -> None:
-        """Detach from every component and restore wrapped methods."""
+        """Detach from every component."""
         for bus in self._buses:
             bus.remove_fault_plane(self._bus_plane)
         for datastore in self._datastores:
             datastore.remove_fault_plane(self._datastore_plane)
         for subsystem in self._subsystems:
             subsystem.remove_fault_plane(self._sensor_plane)
-        for store, original in self._policy_stores:
-            store.candidate_policies = original
+        for store in self._policy_stores:
+            store.remove_fault_plane(self._policy_plane)
         for engine in self._storage_engines:
             engine.remove_fault_plane(self._wal_plane)
         for controller in self._admission_controllers:

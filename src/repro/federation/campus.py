@@ -152,7 +152,6 @@ class Campus:
             building_id,
             owner_name=self._owner_name,
             enforce_capture=True,
-            cache_decisions=False,
             metrics=self.metrics,
             storage=storage,
             health_supervisor=supervisor,
@@ -381,7 +380,6 @@ class Campus:
             building_id,
             owner_name=self._owner_name,
             enforce_capture=True,
-            cache_decisions=False,
             metrics=self.metrics,
             storage=storage,
             health_supervisor=shard.supervisor,

@@ -240,8 +240,9 @@ def compact_building(
     sensor per room, the catalog's sharing, emergency and comfort
     policies, and a seeded population.
 
-    Enforcement is deliberately non-caching so every decision exercises
-    the (faultable) policy-fetch path; ``options`` go to :class:`TIPPERS`.
+    Enforcement uses TIPPERS' default compiled tables, which consult
+    the (faultable) policy-fetch plane on every decision, warm rows
+    included; ``options`` go to :class:`TIPPERS`.
     """
     spatial = build_simple_building(building_id, floors=2, rooms_per_floor=6)
     tippers = TIPPERS(
@@ -249,7 +250,6 @@ def compact_building(
         building_id,
         owner_name=owner_name,
         enforce_capture=True,
-        cache_decisions=False,
         metrics=metrics,
         **options,
     )

@@ -325,7 +325,6 @@ def _run_soak_step(
                 _SOAK_BUILDING_ID,
                 owner_name="Capacity Labs",
                 enforce_capture=True,
-                cache_decisions=False,
                 metrics=registry,
                 storage=engine,
             )

@@ -25,13 +25,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core.enforcement.audit import AuditLog, AuditRecord
 from repro.errors import StorageError
 from repro.sensors.base import Observation
 from repro.storage import records
-from repro.storage.snapshot import read_jsonl, read_manifest, snapshot_paths
+from repro.storage.snapshot import (
+    read_jsonl,
+    read_manifest,
+    snapshot_paths,
+    torn_tail_line,
+)
 from repro.storage.wal import list_segments, scan_segment
 from repro.tippers.datastore import Datastore
 
@@ -49,6 +54,10 @@ class RecoveryReport:
     torn_segment: str = ""
     torn_reason: str = ""
     snapshot_torn_tails: int = 0
+    #: ``"<kind>:<line>"`` per torn snapshot tail (kind ``obs``,
+    #: ``audit`` or ``prefs``), in load order.  Rendered only when a
+    #: tail tore, so reports of clean recoveries keep their shape.
+    snapshot_tears: List[str] = field(default_factory=list)
     erasures_applied: int = 0
     erased_observations: int = 0
     observations_restored: int = 0
@@ -57,7 +66,7 @@ class RecoveryReport:
     retention_purged: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        data: Dict[str, Any] = {
             "snapshot_lsn": self.snapshot_lsn,
             "last_lsn": self.last_lsn,
             "frames_replayed": self.frames_replayed,
@@ -74,6 +83,9 @@ class RecoveryReport:
             "preferences_restored": self.preferences_restored,
             "retention_purged": self.retention_purged,
         }
+        if self.snapshot_tears:
+            data["snapshot_tears"] = list(self.snapshot_tears)
+        return data
 
     def lines(self) -> List[str]:
         """A stable text rendering; byte-identical across same-seed runs."""
@@ -84,11 +96,14 @@ class RecoveryReport:
         torn = "none"
         if self.torn:
             torn = "%s (%s)" % (self.torn_segment, self.torn_reason)
+        tears = ""
+        if self.snapshot_tears:
+            tears = " (%s)" % ", ".join(self.snapshot_tears)
         return [
             "recovery: snapshot_lsn=%d last_lsn=%d frames_replayed=%d"
             % (self.snapshot_lsn, self.last_lsn, self.frames_replayed),
-            "segments_scanned=%d torn=%s snapshot_torn_tails=%d"
-            % (self.segments_scanned, torn, self.snapshot_torn_tails),
+            "segments_scanned=%d torn=%s snapshot_torn_tails=%d%s"
+            % (self.segments_scanned, torn, self.snapshot_torn_tails, tears),
             "records: %s" % (by_type or "none"),
             "erasures_applied=%d erased_observations=%d"
             % (self.erasures_applied, self.erased_observations),
@@ -149,23 +164,28 @@ def replay_directory(
     preferences: "Dict[tuple, Dict[str, Any]]" = {}
     extras: Dict[str, Any] = {}
 
-    def torn_tail(_message: str) -> None:
-        report.snapshot_torn_tails += 1
+    def torn_tail(kind: str) -> Callable[[str], None]:
+        def note(message: str) -> None:
+            report.snapshot_torn_tails += 1
+            report.snapshot_tears.append(
+                "%s:%d" % (kind, torn_tail_line(message))
+            )
+
+        return note
 
     manifest = read_manifest(directory)
     report.snapshot_lsn = manifest.snapshot_lsn
     report.last_lsn = manifest.snapshot_lsn
     paths = snapshot_paths(directory, manifest.snapshot_lsn)
     if os.path.exists(paths["obs"]):
-        for observation in read_jsonl(paths["obs"], "obs", torn_tail):
-            # Base-class call: loading into a durable datastore must
-            # not write-ahead-log what is already durable.
-            Datastore.insert(datastore, observation)
+        _restore_snapshot_observations(
+            datastore, read_jsonl(paths["obs"], "obs", torn_tail("obs"))
+        )
     if os.path.exists(paths["audit"]):
-        for record in read_jsonl(paths["audit"], "audit", torn_tail):
+        for record in read_jsonl(paths["audit"], "audit", torn_tail("audit")):
             AuditLog.append(audit, record)
     if os.path.exists(paths["prefs"]):
-        for data in read_jsonl(paths["prefs"], "prefs", torn_tail):
+        for data in read_jsonl(paths["prefs"], "prefs", torn_tail("prefs")):
             key = (data.get("user_id"), data.get("preference_id"))
             preferences[key] = data
 
@@ -206,6 +226,18 @@ def replay_directory(
         compiled_table=extras.get("compiled_table"),
         migrations=extras.get("migrations", {}),
     )
+
+
+def _restore_snapshot_observations(
+    datastore: Datastore, observations: Iterable[Observation]
+) -> None:
+    """Load snapshot observations through the base-class insert.
+
+    Loading into a durable datastore must not write-ahead-log what is
+    already durable.
+    """
+    for observation in observations:
+        Datastore.insert(datastore, observation)
 
 
 def _apply_frame(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -160,15 +161,25 @@ def _decode_line(text: str, kind: str) -> Any:
     return data
 
 
+_TORN_TAIL = "torn final record skipped (line %d of %s): %s"
+_TORN_TAIL_LINE = re.compile(r"torn final record skipped \(line (\d+) of ")
+
+
 def _report_torn_tail(
     path: str, line_no: int, error: StorageError,
     on_torn_tail: Optional[TornTailCallback],
 ) -> None:
     get_registry().counter("persistence_torn_tail_total").inc()
     if on_torn_tail is not None:
-        on_torn_tail(
-            "torn final record skipped (line %d of %s): %s" % (line_no, path, error)
-        )
+        on_torn_tail(_TORN_TAIL % (line_no, path, error))
+
+
+def torn_tail_line(message: str) -> int:
+    """The torn line's number in a message passed to ``on_torn_tail``."""
+    match = _TORN_TAIL_LINE.match(message)
+    if match is None:
+        raise ValueError("not a torn-tail message: %r" % message)
+    return int(match.group(1))
 
 
 def read_jsonl(

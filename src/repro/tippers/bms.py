@@ -67,7 +67,7 @@ class TIPPERS(Endpoint):
         settings_space: Optional[SettingsSpace] = None,
         enforce_capture: bool = True,
         cache_decisions: bool = False,
-        compile_decisions: bool = False,
+        compile_decisions: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         storage: Optional["StorageEngine"] = None,
         health_supervisor: Optional[SensorHealthSupervisor] = None,
@@ -94,11 +94,12 @@ class TIPPERS(Endpoint):
             self.datastore: Datastore = DurableDatastore(storage)
         else:
             self.datastore = Datastore()
-        if cache_decisions and compile_decisions:
-            raise PolicyError(
-                "cache_decisions and compile_decisions are exclusive"
-            )
+        # Compiled decision tables serve capture, storage and sharing
+        # decisions by default; ``compile_decisions=False`` selects the
+        # reference interpreter (the differential oracle), and
+        # ``cache_decisions=True`` the decision cache instead of either.
         engine_cls = CachingEnforcementEngine if cache_decisions else EnforcementEngine
+        compile_decisions = compile_decisions and not cache_decisions
         self.engine = engine_cls(
             store=self.store,
             context=self.context,

@@ -8,30 +8,28 @@ constructed through the public ``EnforcementEngine(compiled=True)``
 switch.  Every mutation is applied to both stores; every request is
 decided by both engines and the outcomes compared field by field.
 
-Normalization: injected policy-fetch failures embed the fault
+Nothing is normalized.  Injected policy-fetch failures embed the fault
 injector's logical step number in the fail-closed reason string, and
-the two engines drive *separate* injectors whose counters need not
-agree -- so reasons are compared with ``step <n>`` rewritten to
-``step N``.  Nothing else is normalized; effects, granularities, rule
-id orderings, notify flags, and audit trails must match exactly.
+the two engines drive *separate* injectors -- but both engines consult
+their store's fault plane exactly once per decide, so the two step
+counters advance in lockstep and the reasons (hence the audit trails)
+match byte for byte, outages included.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, List, Optional, Tuple
 
-from repro.core.enforcement.audit import AuditLog, AuditRecord
+from repro.core.enforcement.audit import AuditLog
 from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import Decision, EnforcementEngine
 from repro.core.policy.base import Effect
 from repro.core.policy.conditions import EvaluationContext
 from repro.core.reasoner.index import PolicyIndex
 from repro.core.reasoner.resolution import Resolution, ResolutionStrategy
+from repro.faults import FaultInjector, FaultSpec, single_spec_plan
 from repro.obs.metrics import MetricsRegistry
 from repro.spatial.model import build_simple_building
-
-_STEP = re.compile(r"step \d+")
 
 _SPATIAL = build_simple_building("b", floors=2, rooms_per_floor=4)
 
@@ -47,11 +45,6 @@ def make_context() -> EvaluationContext:
     return EvaluationContext(spatial=_SPATIAL, user_profiles=dict(USER_PROFILES))
 
 
-def normalize_reasons(reasons: Iterable[str]) -> Tuple[str, ...]:
-    """Reasons with injector step numbers masked (see module docs)."""
-    return tuple(_STEP.sub("step N", reason) for reason in reasons)
-
-
 def resolution_key(resolution: Resolution) -> tuple:
     return (
         resolution.effect,
@@ -59,12 +52,8 @@ def resolution_key(resolution: Resolution) -> tuple:
         resolution.policy_ids,
         resolution.preference_ids,
         resolution.notify_user,
-        normalize_reasons(resolution.reasons),
+        resolution.reasons,
     )
-
-
-def audit_key(record: AuditRecord) -> tuple:
-    return record[:8] + (normalize_reasons(record.reasons), record.notify_user)
 
 
 class EnginePair:
@@ -129,6 +118,21 @@ class EnginePair:
         self.reference.store.remove_preferences_of(user_id)
         self.compiled.store.remove_preferences_of(user_id)
 
+    def install_policy_faults(
+        self, spec: FaultSpec
+    ) -> Tuple[FaultInjector, FaultInjector]:
+        """The same one-spec plan on both stores, one injector each.
+
+        Returns the (reference, compiled) injectors; the caller
+        uninstalls them.
+        """
+        injectors = []
+        for engine in (self.reference, self.compiled):
+            injector = FaultInjector(single_spec_plan(spec))
+            injector.install_policy_store(engine.store)
+            injectors.append(injector)
+        return injectors[0], injectors[1]
+
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
@@ -164,8 +168,8 @@ class EnginePair:
     # Whole-run checks
     # ------------------------------------------------------------------
     def assert_trails_equal(self) -> None:
-        reference = [audit_key(r) for r in self.reference.audit]
-        compiled = [audit_key(r) for r in self.compiled.audit]
+        reference = list(self.reference.audit)
+        compiled = list(self.compiled.audit)
         assert compiled == reference, "audit trails diverged"
 
     def assert_counters_equal(self) -> None:
@@ -176,6 +180,11 @@ class EnginePair:
             ) == self.reference_metrics.total(
                 "enforcement_decisions_total", labels
             ), ("decision counter diverged for %s" % effect.value)
+        assert self.compiled_metrics.total(
+            "enforcement_failclosed_total"
+        ) == self.reference_metrics.total(
+            "enforcement_failclosed_total"
+        ), "fail-closed counter diverged"
         assert self.compiled_metrics.histogram(
             "enforcement_decide_seconds"
         ).count == self.reference_metrics.histogram(

@@ -13,6 +13,7 @@ import dataclasses
 from hypothesis import strategies as st
 
 from repro.core.reasoner.resolution import ResolutionStrategy
+from repro.faults import FaultKind, FaultSpec
 from tests.property.strategies import (
     USERS,
     conditions,
@@ -87,3 +88,42 @@ steps = st.one_of(
 )
 
 runs = st.lists(steps, min_size=1, max_size=40)
+
+
+def _mk_warm(draw):
+    index, timestamp = draw
+    # Resolved against the run's primed request pool at apply time.
+    return ("warm", (index, timestamp))
+
+
+#: A policy-fetch outage plan: a periodic outage (``every``/``phase``)
+#: or a fixed set of faulted steps (``at_steps``).  Sparse enough that
+#: rows get compiled between faults, so warm rows meet the outage.
+outage_specs = st.one_of(
+    st.builds(
+        lambda every, phase: FaultSpec(
+            kind=FaultKind.POLICY_FETCH_FAIL, every=every, phase=phase
+        ),
+        st.integers(2, 6),
+        st.integers(0, 5),
+    ),
+    st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True).map(
+        lambda steps: FaultSpec(
+            kind=FaultKind.POLICY_FETCH_FAIL, at_steps=tuple(sorted(steps))
+        )
+    ),
+)
+
+#: A run for the outage property: cold requests and mutations (the
+#: plain ``steps``) interleaved with warm repeats of primed requests at
+#: a new timestamp, which a compiled row would serve without a fetch.
+outage_runs = st.lists(
+    st.one_of(
+        steps,
+        st.tuples(st.integers(0, 7), st.floats(0.0, 1e7)).map(_mk_warm),
+        st.tuples(st.integers(0, 7), st.floats(0.0, 1e7)).map(_mk_warm),
+        st.tuples(st.integers(0, 7), st.floats(0.0, 1e7)).map(_mk_warm),
+    ),
+    min_size=1,
+    max_size=40,
+)

@@ -13,9 +13,11 @@ import dataclasses
 from hypothesis import given, strategies as st
 
 from repro.core.policy.base import Effect
-from repro.faults import FaultInjector, FaultKind, FaultSpec, single_spec_plan
+from repro.faults import FaultKind, FaultSpec
 from tests.differential.harness import EnginePair
 from tests.differential.strategies import (
+    outage_runs,
+    outage_specs,
     policies,
     preferences,
     requests,
@@ -113,15 +115,9 @@ def test_fail_closed_fault_injection(
     """An injected policy-fetch outage fails both engines closed
     identically, and the fail-closed denials are never compiled.
 
-    Each engine gets its own injector (their step counters advance at
-    different rates: the compiled miss path fetches candidates again in
-    its cacheability check), so the outage is delimited by install /
-    uninstall rather than step windows, and the step number embedded in
-    the fail-closed reason is masked by the harness.  Requests use a
-    fresh requester id per step: a warm compiled row would otherwise
-    (by design, like the decision cache) keep serving during the
-    outage, which is an availability difference, not an equivalence
-    bug -- see test_warm_rows_serve_through_outage.
+    The outage is delimited by install / uninstall.  Requests use a
+    fresh requester id per step, so the post-outage repeats below can
+    only hit the table if a fail-closed denial had been compiled.
     """
     pair = EnginePair(policies=policy_list, preferences=preference_list)
     serial = [0]
@@ -133,12 +129,9 @@ def test_fail_closed_fault_injection(
     for _ in range(before):
         pair.decide(fresh())
 
-    outage = FaultSpec(kind=FaultKind.POLICY_FETCH_FAIL, target="policy_store")
-    injectors = []
-    for engine in (pair.reference, pair.compiled):
-        injector = FaultInjector(single_spec_plan(outage))
-        injector.install_policy_store(engine.store)
-        injectors.append(injector)
+    injectors = pair.install_policy_faults(
+        FaultSpec(kind=FaultKind.POLICY_FETCH_FAIL, target="policy_store")
+    )
     try:
         outage_requests = [fresh() for _ in range(during)]
         for request in outage_requests:
@@ -163,12 +156,46 @@ def test_fail_closed_fault_injection(
     pair.assert_counters_equal()
 
 
-def test_warm_rows_serve_through_outage():
-    """Documented availability asymmetry: a warm compiled row keeps
-    serving during a policy-fetch outage (the row needs no fetch), while
-    the interpreter fails closed -- the same trade the decision cache
-    makes.  This is the one deliberate non-equivalence, pinned here so a
-    future change to either behavior is a conscious one."""
+@given(
+    policy_list=st.lists(policies, max_size=5),
+    preference_list=st.lists(preferences, max_size=5),
+    pool=st.lists(requests, min_size=1, max_size=8),
+    spec=outage_specs,
+    run=outage_runs,
+)
+def test_policy_fetch_outage_equivalence(
+    policy_list, preference_list, pool, spec, run
+):
+    """Under one POLICY_FETCH_FAIL plan, installed on both stores through
+    separate injectors, warm and cold requests interleaved with
+    mutations fail closed at exactly the same steps in both engines:
+    the audit trails (step numbers in the reasons included), the
+    counters and the fault traces are all equal."""
+    pair = EnginePair(policies=policy_list, preferences=preference_list)
+    reference_injector, compiled_injector = pair.install_policy_faults(spec)
+    try:
+        for request in pool:  # primes the rows the warm steps repeat
+            pair.decide(request)
+        for op, payload in run:
+            if op == "warm":
+                index, timestamp = payload
+                request = pool[index % len(pool)]
+                pair.decide(dataclasses.replace(request, timestamp=timestamp))
+            else:
+                pair.apply((op, payload))
+    finally:
+        reference_injector.uninstall()
+        compiled_injector.uninstall()
+    pair.assert_trails_equal()
+    pair.assert_counters_equal()
+    assert compiled_injector.step == reference_injector.step
+    assert compiled_injector.trace.lines() == reference_injector.trace.lines()
+
+
+def test_warm_rows_fail_closed_through_outage():
+    """A warm compiled row does not serve through a policy-fetch outage:
+    the engine consults the store's fault plane before the row probe,
+    so the warm request fails closed exactly like the interpreter."""
     from repro.core.language.vocabulary import DataCategory, Purpose
     from repro.core.policy import catalog
     from repro.core.policy.base import DataRequest, DecisionPhase, RequesterKind
@@ -185,23 +212,24 @@ def test_warm_rows_serve_through_outage():
         timestamp=100.0,
         purpose=Purpose.PROVIDING_SERVICE,
     )
-    pair.decide(request)  # warm the row (and the oracle, pre-outage)
-    warm = pair.compiled.decide(dataclasses.replace(request, timestamp=200.0))
+    pair.decide(request)  # warm the row
+    assert pair.compiled.table_rows == 1
 
-    injector = FaultInjector(
-        single_spec_plan(
-            FaultSpec(kind=FaultKind.POLICY_FETCH_FAIL, target="policy_store")
-        )
+    injectors = pair.install_policy_faults(
+        FaultSpec(kind=FaultKind.POLICY_FETCH_FAIL, target="policy_store")
     )
-    injector.install_policy_store(pair.compiled.store)
     try:
-        during = pair.compiled.decide(dataclasses.replace(request, timestamp=300.0))
-        assert during.resolution == warm.resolution, (
-            "warm row must keep serving through the outage"
+        _, during = pair.decide(
+            dataclasses.replace(request, timestamp=200.0)
         )
-        cold = dataclasses.replace(request, requester_id="svc-cold")
-        denied = pair.compiled.decide(cold)
-        assert denied.resolution.effect is Effect.DENY
-        assert "fail-closed deny" in denied.resolution.reasons
+        assert during.resolution.effect is Effect.DENY
+        assert "fail-closed deny" in during.resolution.reasons
+        assert pair.compiled.hits == 0, "a warm row served through the outage"
     finally:
-        injector.uninstall()
+        for injector in injectors:
+            injector.uninstall()
+    _, after = pair.decide(dataclasses.replace(request, timestamp=300.0))
+    assert after.allowed
+    assert pair.compiled.hits == 1, "the row must survive the outage"
+    pair.assert_trails_equal()
+    pair.assert_counters_equal()

@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.core.enforcement import (
+    CachingEnforcementEngine,
+    CompiledEnforcementEngine,
+    EnforcementEngine,
+)
 from repro.core.policy import catalog
 from repro.core.policy.serialization import preference_to_dict
 from repro.errors import NetworkError, PolicyError
+from repro.federation.campus import Campus
 from repro.net.bus import MessageBus, RpcError
+from repro.obs.metrics import MetricsRegistry
+from repro.simulation.dbh import make_dbh_tippers
 from repro.spatial.model import build_simple_building
 from repro.tippers.bms import TIPPERS
 from repro.users.profile import UserProfile
@@ -30,6 +38,42 @@ class TestConstruction:
             )
         )
         assert "staff" in tippers.context.groups_of("carol")
+
+
+class TestEngineDefault:
+    """Compiled decision tables are the default engine everywhere; the
+    interpreter stays reachable as the differential oracle."""
+
+    def test_tippers_compiles_by_default(self, small_building):
+        engine = TIPPERS(small_building, "b").engine
+        assert type(engine) is CompiledEnforcementEngine
+
+    def test_interpreter_on_request(self, small_building):
+        engine = TIPPERS(small_building, "b", compile_decisions=False).engine
+        assert type(engine) is EnforcementEngine
+
+    def test_cache_flag_still_selects_the_cache(self, small_building):
+        engine = TIPPERS(small_building, "b", cache_decisions=True).engine
+        assert type(engine) is CachingEnforcementEngine
+
+    def test_dbh_tippers_compiles(self):
+        tippers = make_dbh_tippers(deploy_sensors=False)
+        assert type(tippers.engine) is CompiledEnforcementEngine
+
+    def test_every_campus_shard_compiles(self, tmp_path):
+        campus = Campus(
+            ("bldg-a", "bldg-b"),
+            seed=3,
+            floors=1,
+            rooms_per_floor=2,
+            storage_root=str(tmp_path),
+            metrics=MetricsRegistry(),
+        )
+        campus.add_building("bldg-c")
+        campus.recover_shard("bldg-a", now=0.0)
+        engines = [shard.tippers.engine for shard in campus.shards()]
+        assert len(engines) == 3
+        assert all(type(e) is CompiledEnforcementEngine for e in engines)
 
 
 class TestOperation:

@@ -196,10 +196,10 @@ class TestCompiledBrownoutBypass:
             "the compiled row must not absorb the brownout note"
         )
 
-    def test_time_stable_module_helper_matches_cacheable(self):
-        """time_stable (shared by cache and table) is importable from
-        the package root and agrees with the caching engine's gate."""
-        from repro.core.enforcement import time_stable
+    def test_match_time_stability_gates_the_cache(self):
+        """The matcher judges time-stability on the candidates it fetched,
+        and the caching engine caches exactly the stable decisions."""
+        from repro.core.reasoner.matcher import PolicyMatcher
 
         spatial = build_simple_building("b", 2, 4)
         engine = CachingEnforcementEngine(
@@ -211,7 +211,10 @@ class TestCompiledBrownoutBypass:
         )
         stable = request(category=DataCategory.LOCATION)
         unstable = request(category=DataCategory.OCCUPANCY)
-        assert time_stable(engine.store, stable)
-        assert not time_stable(engine.store, unstable)
-        assert engine._cacheable(stable)
-        assert not engine._cacheable(unstable)
+        matcher = PolicyMatcher(engine.store, engine.context)
+        assert matcher.match(stable).time_stable
+        assert not matcher.match(unstable).time_stable
+        engine.decide(stable)
+        engine.decide(unstable)
+        assert (engine.misses, engine.uncacheable) == (1, 1)
+        assert engine.cache_size == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.enforcement.cache import CachingEnforcementEngine
+from repro.core.enforcement.compiled import CompiledEnforcementEngine
 from repro.core.enforcement.engine import EnforcementEngine
 from repro.core.language.vocabulary import DataCategory, GranularityLevel, Purpose
 from repro.core.policy import catalog
@@ -121,32 +122,73 @@ class TestCachingEngineFailClosed:
         assert engine.decide(sharing_request()).allowed
         assert engine.misses == 1
 
-    def test_faulted_cacheability_probe_means_uncacheable(self):
+    def test_miss_consumes_exactly_one_injector_step(self):
         engine = make_engine(CachingEnforcementEngine)
         injector = outage_injector(
             engine.store, FaultSpec(kind=FaultKind.POLICY_FETCH_FAIL, every=2)
         )
-        # Step 0 (match) faults: fail-closed.
+        # Step 0 faults: fail-closed, before any lookup.
         assert not engine.decide(sharing_request()).allowed
-        # Step 1 (match) is clean, step 2 (the cacheability re-fetch)
-        # faults: the decision stands but is not cached.
+        assert injector.step == 1
+        # Step 1 is clean: the miss fetches its candidates once and
+        # judges cacheability on them, with no second plane step.
         decision = engine.decide(sharing_request())
         assert decision.allowed
-        assert engine.uncacheable == 1
-        assert engine.cache_size == 0
-        assert injector.trace.counts()["policy_fetch_fail"] == 2
+        assert injector.step == 2
+        assert engine.misses == 1
+        assert engine.uncacheable == 0
+        assert engine.cache_size == 1
+        assert injector.trace.counts()["policy_fetch_fail"] == 1
 
     def test_prior_cache_entries_survive_an_outage(self):
+        """Entries cached before an outage survive it, but do not serve
+        during it: they fail closed like the interpreter."""
         engine = make_engine(CachingEnforcementEngine)
         assert engine.decide(sharing_request()).allowed  # primes the cache
         assert engine.cache_size == 1
-        outage_injector(engine.store)
-        # An exact repeat is served from the cache without fetching, so
-        # the outage does not regress already-proven decisions...
-        assert engine.decide(sharing_request(timestamp=200.0)).allowed
-        assert engine.hits == 1
-        # ...but an uncached request still fails closed.
+        injector = outage_injector(engine.store)
+        # The plane is consulted before the cache probe, so an exact
+        # repeat fails closed like the interpreter would...
+        decision = engine.decide(sharing_request(timestamp=200.0))
+        assert not decision.allowed
+        assert "fail-closed deny" in decision.resolution.reasons
+        assert engine.hits == 0
+        # ...and so does an uncached request.
         assert not engine.decide(sharing_request(subject_id="bob")).allowed
+        assert injector.trace.counts() == {"policy_fetch_fail": 2}
+        injector.uninstall()
+        # The entry survives the outage and serves once it is over.
+        assert engine.decide(sharing_request(timestamp=300.0)).allowed
+        assert engine.hits == 1
+
+
+class TestCompiledEngineFailClosed:
+    def test_warm_row_fails_closed_in_an_outage(self):
+        engine = make_engine(CompiledEnforcementEngine)
+        assert engine.decide(sharing_request()).allowed  # compiles the row
+        assert engine.table_rows == 1
+        injector = outage_injector(engine.store)
+        decision = engine.decide(sharing_request(timestamp=200.0))
+        assert not decision.allowed
+        assert "fail-closed deny" in decision.resolution.reasons
+        assert engine.hits == 0
+        injector.uninstall()
+        assert engine.decide(sharing_request(timestamp=300.0)).allowed
+        assert engine.hits == 1
+
+    def test_miss_consumes_exactly_one_injector_step(self):
+        engine = make_engine(CompiledEnforcementEngine)
+        injector = outage_injector(
+            engine.store, FaultSpec(kind=FaultKind.POLICY_FETCH_FAIL, at_steps=(1,))
+        )
+        assert engine.decide(sharing_request()).allowed  # step 0: a miss
+        assert injector.step == 1
+        assert engine.misses == 1
+        # Step 1 faults even though the row is warm.
+        assert not engine.decide(sharing_request(timestamp=200.0)).allowed
+        assert engine.decide(sharing_request(timestamp=300.0)).allowed
+        assert injector.step == 3
+        assert engine.hits == 1
 
 
 class TestRequestManagerDegradation:

@@ -188,11 +188,13 @@ class TestSensorPlane:
 class TestPolicyStorePlane:
     class FakeStore:
         def __init__(self):
-            self.fetches = 0
+            self.planes = []
 
-        def candidate_policies(self, request):
-            self.fetches += 1
-            return ["policy-a"]
+        def install_fault_plane(self, plane):
+            self.planes.append(plane)
+
+        def remove_fault_plane(self, plane):
+            self.planes.remove(plane)
 
     def test_fetch_faults_then_uninstall_restores(self):
         store = self.FakeStore()
@@ -202,16 +204,16 @@ class TestPolicyStorePlane:
             )
         )
         injector.install_policy_store(store)
-        with pytest.raises(StorageError):
-            store.candidate_policies(object())
-        assert store.fetches == 0
-        # Step 1 is clean: the wrapped fetch falls through.
-        assert store.candidate_policies(object()) == ["policy-a"]
-        assert store.fetches == 1
+        (plane,) = store.planes
+        failure = plane()
+        assert "injected policy fetch failure" in failure
+        assert "step 0" in failure
+        # Step 1 is clean: the fetch goes ahead.
+        assert plane() is None
+        assert injector.step == 2
         injector.uninstall()
-        assert store.candidate_policies.__self__ is store
+        assert store.planes == []
         assert injector.trace.counts() == {"policy_fetch_fail": 1}
-
 
 class TestGlobalStepCounter:
     def test_steps_are_shared_across_sites(self):

@@ -7,6 +7,7 @@ from repro.core.policy.base import DataRequest, DecisionPhase, Effect, Requester
 from repro.core.policy.building import BuildingPolicy
 from repro.core.policy.preference import UserPreference
 from repro.core.reasoner.index import LinearRuleStore, PolicyIndex
+from repro.errors import StorageError
 
 
 def request(category=DataCategory.LOCATION, phase=DecisionPhase.SHARING, subject="mary"):
@@ -124,3 +125,26 @@ class TestPolicyIndexPruning:
         assert len(index.preferences) == 1
         found = index.candidate_preferences(request(DataCategory.ENERGY_USE))
         assert [p.preference_id for p in found] == ["f1"]
+
+
+@pytest.mark.parametrize("store_cls", [LinearRuleStore, PolicyIndex])
+class TestFetchPlanes:
+    def test_unfaulted_store_has_no_planes(self, store_cls):
+        store = store_cls()
+        assert store.fault_planes == ()
+        store.check_fetch()  # no plane, no failure
+
+    def test_plane_message_fails_the_fetch(self, store_cls):
+        store = store_cls()
+        verdicts = iter([None, "store offline"])
+
+        def plane():
+            return next(verdicts)
+
+        store.install_fault_plane(plane)
+        store.check_fetch()
+        with pytest.raises(StorageError, match="store offline"):
+            store.check_fetch()
+        store.remove_fault_plane(plane)
+        assert store.fault_planes == ()
+        store.check_fetch()

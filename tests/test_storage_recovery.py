@@ -81,6 +81,36 @@ class TestReplayDirectory:
         assert state.report.preferences_restored == 2
         assert state.report.snapshot_torn_tails == 1
 
+    def test_torn_snapshot_tail_names_its_file_and_line(self, tmp_path):
+        engine = StorageEngine(str(tmp_path))
+        for index in range(3):
+            engine.log(
+                records.PREF, {"user_id": "mary", "preference_id": "p%d" % index}
+            )
+        snapshot_lsn = engine.compact().snapshot_lsn
+        engine.close()
+        path = snapshot_paths(str(tmp_path), snapshot_lsn)["prefs"]
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(text[:-5])
+
+        report = replay_directory(str(tmp_path)).report
+        assert report.snapshot_tears == ["prefs:3"]
+        assert report.to_dict()["snapshot_tears"] == ["prefs:3"]
+        assert "snapshot_torn_tails=1 (prefs:3)" in report.to_text()
+        assert str(tmp_path) not in report.to_text()
+
+    def test_clean_report_does_not_render_tears(self, tmp_path):
+        engine = StorageEngine(str(tmp_path))
+        engine.log(records.PREF, {"user_id": "mary", "preference_id": "p0"})
+        engine.compact()
+        engine.close()
+        report = replay_directory(str(tmp_path)).report
+        assert report.snapshot_tears == []
+        assert "snapshot_tears" not in report.to_dict()
+        assert "snapshot_torn_tails=0\n" in report.to_text()
+
     def test_report_is_deterministic(self, tmp_path):
         engine = StorageEngine(str(tmp_path))
         datastore = DurableDatastore(engine)
